@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import combinatorics as comb
 from .chaos import moment_via_expansion
-from .config import entry_budget, set_entry_budget, set_thread_count
+from .config import entry_budget, set_entry_budget, set_thread_count, thread_override
 from .errors import (
     BudgetExceededError,
     ChaosKitError,
@@ -459,12 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    old_budget = entry_budget()
-    if getattr(args, "budget", None):
-        set_entry_budget(args.budget)
-    if getattr(args, "threads", None):
-        set_thread_count(args.threads)
+    old_budget, old_threads = entry_budget(), thread_override()
     try:
+        if args.budget is not None:
+            set_entry_budget(args.budget)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
+            set_thread_count(args.threads)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
@@ -480,7 +482,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     finally:
         set_entry_budget(old_budget)
-        set_thread_count(None)
+        set_thread_count(old_threads)
 
 
 if __name__ == "__main__":

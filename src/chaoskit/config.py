@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidInputError
 
 DEFAULT_ENTRY_BUDGET = 10_000_000
 
@@ -25,7 +25,7 @@ def entry_budget() -> int:
 def set_entry_budget(n: int) -> None:
     global _entry_budget
     if n < 1:
-        raise ValueError("entry budget must be positive")
+        raise InvalidInputError(f"entry budget must be positive, got {n}")
     _entry_budget = int(n)
 
 
@@ -58,6 +58,11 @@ def thread_count() -> int:
         return max(1, int(env))
     except ValueError:
         return 1
+
+
+def thread_override() -> int | None:
+    """The cap set by set_thread_count, or None when CHAOSKIT_THREADS rules."""
+    return _thread_count
 
 
 def set_thread_count(n: int | None) -> None:

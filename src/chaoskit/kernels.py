@@ -466,21 +466,24 @@ def to_json_dict(f: GridKernel, model: str | None = None) -> dict:
 
 def from_json_dict(d: dict) -> tuple[GridKernel, str | None]:
     try:
-        p = int(d["p"])
-        m = int(d["m"])
-        mode = d["mode"]
-        coeffs = d["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed kernel JSON: {exc}") from exc
+        p, m, mode, coeffs = d["p"], d["m"], d["mode"], d["coeffs"]
+    except KeyError as exc:
+        raise InvalidInputError(f"malformed kernel JSON: missing {exc}") from exc
+    for name, value in (("p", p), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidInputError(
+                f"kernel JSON {name!r} must be an integer, got {value!r}"
+            )
+    if not isinstance(coeffs, list):
+        raise InvalidInputError(
+            f"kernel JSON 'coeffs' must be a list, got {type(coeffs).__name__}"
+        )
     model = d.get("model")
     if model is not None and model not in MODELS:
         raise InvalidInputError(f"unknown model {model!r} in kernel JSON")
-    sq = d.get("scale_sq", 1)
-    if isinstance(sq, str):
-        sq = Fraction(sq)
     try:
-        kern = new_kernel(p, m, coeffs, mode=mode, scale_sq=sq)
-    except (ValueError, ZeroDivisionError) as exc:
+        kern = new_kernel(p, m, coeffs, mode=mode, scale_sq=d.get("scale_sq", 1))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         if isinstance(exc, InvalidInputError):
             raise
         raise InvalidInputError(f"malformed kernel JSON: {exc}") from exc

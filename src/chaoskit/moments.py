@@ -2,29 +2,44 @@
 
 The k-th moment of an order-p integral is a sum over the closed rank
 sequences B_k of iterated contractions of k copies of the kernel, evaluated
-left to right (classical sequences also carry integer weights).  Materializing
-those chains naively is hopeless: a prefix of zero ranks yields a dense
-order-jp intermediate, which for a resolution-64 kernel at k = 8 would need
-64^8 entries.  Instead the evaluators below keep every intermediate in
-factored form:
+left to right; a classical sequence also carries the integer weight
+prod_j r_j! C(p, r_j) C(o_{j-1}, r_j), o_j being the running order.
+Materializing those chains naively is hopeless: a prefix of zero ranks
+yields a dense order-jp intermediate, which for a resolution-64 kernel at
+k = 8 would need 64^8 entries.  Instead an intermediate is a weighted bag of
+terms {block-id tuple: weight}, each term the tensor product of small,
+deduplicated dense blocks:
 
-* free chains are literal tensor products of small blocks, and a rank-r step
-  only ever touches the trailing blocks, so one dense contraction per
-  prefix-tree edge suffices;
+* free terms keep their blocks in order, and a rank-r step only ever
+  touches the trailing blocks;
 * classical chains are symmetrized, which spreads a rank-r step over all
-  blocks; a symmetrized intermediate is kept as a weighted bag of
-  tensor-product terms with symmetric blocks, and one step splits each term
-  over the ways of drawing r slots from its blocks:
+  blocks; a term's block tuple is kept sorted, and one step splits each
+  term over the ways of drawing r slots from its blocks:
 
       sym(W) o~_r f = sum over (r_1..r_s), sum r_i = r of
           [prod_i C(o_i, r_i) / C(o, r)] * sym(untouched ox fuse(f; {(g_i, r_i)}))
 
   where fuse contracts r_i slots of each chosen block against distinct slots
-  of the incoming kernel.  Blocks stay small (order <= 2p-2 in practice) and
-  are deduplicated, so shared prefixes cost one fuse per distinct split.
+  of the incoming kernel.
 
-Both evaluators are cross-checked against literal dense chains and against
-the product-formula expansion path in the test suite.
+Blocks stay small (order <= 2p-2 in practice), and each distinct (blocks, r)
+step is contracted once and memoized.
+
+Walking B_k one tuple at a time costs |B_k|, which grows exponentially
+(4,213 tuples at p = 2, k = 12; 227,475 at k = 16), so the moments sum the
+rank tree level by level instead (`_walk`).  After each step, every
+prefix that reaches the same block tuple is one term whose weight is the sum
+of those prefixes' weights.  The classical weight factors step by step, so a
+rank-r step from order o first multiplies the term weights by
+r! C(p, r) C(o, r) and the final sum needs no per-tuple weight.  Terms also
+carry a flag, "every rank so far in {0, p}", so one pass yields both the
+C_k and the E_k part of the sum.
+
+`chain_values` returns one value per rank tuple, which merging would lose,
+so it runs the same walk with each rank prefix kept as its own state; its
+cost therefore grows with |B_k|.  The test suite checks the merged sums
+against the per-tuple values, both against literal dense chains, and the
+moments against the product-formula expansion.
 """
 
 from __future__ import annotations
@@ -122,8 +137,11 @@ class _FactorStore:
         return len(self.orders) - 1
 
 
-class _FreeChain:
-    """State: (tuple of block ids in tensor-product order, scalar prefactor)."""
+class _Chain:
+    """Chain state: a dict mapping block-id tuples to scalar weights; the
+    represented value is sum_terms w * (tensor product of the blocks).
+    Subclasses define a rank-r step; its memo is keyed by block ids, which
+    the store makes content addresses."""
 
     def __init__(self, f_arr: np.ndarray, p: int, m: int, mode: str):
         self.p = p
@@ -133,15 +151,32 @@ class _FreeChain:
         self.base = self.store.add(p, f_arr)
         self.f_arr = f_arr
         self.one = 1.0 if mode == "float" else Fraction(1)
+        self.zero = 0.0 if mode == "float" else Fraction(0)
         self.memo: dict = {}
 
-    def initial(self):
-        return ((self.base,), self.one)
+    def initial(self) -> dict:
+        return {(self.base,): self.one}
 
-    def step(self, state, r: int):
-        ids, sc = state
+    def order(self, ids: tuple) -> int:
+        return sum(self.store.orders[i] for i in ids)
+
+    def rank_weight(self, order: int, r: int) -> int:
+        """Expansion weight of a rank-r step from running order `order`."""
+        return 1
+
+    def finalize(self, terms: dict) -> Scalar:
+        if set(terms) - {()}:
+            raise AssertionError("chain finalized with open blocks")
+        return terms.get((), self.zero)
+
+
+class _FreeChain(_Chain):
+    """Blocks stay in tensor-product order; a rank-r step only touches the
+    trailing blocks."""
+
+    def _step_term(self, ids: tuple, w, r: int):
         if r == 0:
-            return (ids + (self.base,), sc)
+            return ids + (self.base,), w
         rest = list(ids)
         popped: list[int] = []
         total = 0
@@ -166,14 +201,15 @@ class _FreeChain:
                 hit = ("f", self.store.add(out_order, out))
             self.memo[key] = hit
         if hit[0] == "s":
-            return (tuple(rest), sc * hit[1])
-        return (tuple(rest) + (hit[1],), sc)
+            return tuple(rest), w * hit[1]
+        return tuple(rest) + (hit[1],), w
 
-    def finalize(self, state) -> Scalar:
-        ids, sc = state
-        if ids:
-            raise AssertionError("free chain finalized with open blocks")
-        return sc
+    def step(self, terms: dict, r: int) -> dict:
+        out: dict = {}
+        for ids, w in terms.items():
+            key, w = self._step_term(ids, w, r)
+            out[key] = out.get(key, self.zero) + w
+        return out
 
 
 def _compositions(total: int, caps: list[int]):
@@ -194,26 +230,15 @@ def _compositions(total: int, caps: list[int]):
     yield from rec(0, total, ())
 
 
-class _ClassicalChain:
-    """State: dict mapping sorted block-id tuples to scalar weights; the
-    represented value is sum_terms w * sym(tensor product of blocks)."""
+class _ClassicalChain(_Chain):
+    """Terms are symmetrized (block tuples kept sorted), so a rank-r step
+    splits each term over the ways of drawing r slots from its blocks."""
 
-    def __init__(self, f_sym_arr: np.ndarray, p: int, m: int, mode: str):
-        self.p = p
-        self.m = m
-        self.mode = mode
-        self.store = _FactorStore(mode)
-        self.base = self.store.add(p, f_sym_arr)
-        self.f_arr = f_sym_arr
-        self.one = 1.0 if mode == "float" else Fraction(1)
-        self.zero = 0.0 if mode == "float" else Fraction(0)
-        self.fuse_memo: dict = {}
-
-    def initial(self):
-        return {(self.base,): self.one}
+    def rank_weight(self, order: int, r: int) -> int:
+        return math.factorial(r) * math.comb(self.p, r) * math.comb(order, r)
 
     def _fuse(self, parts_key: tuple):
-        hit = self.fuse_memo.get(parts_key)
+        hit = self.memo.get(parts_key)
         if hit is not None:
             return hit
         parts = [
@@ -224,7 +249,7 @@ class _ClassicalChain:
             hit = ("s", arr[0])
         else:
             hit = ("f", self.store.add(order, _sym_array(arr, order, self.m, self.mode)))
-        self.fuse_memo[parts_key] = hit
+        self.memo[parts_key] = hit
         return hit
 
     def step(self, terms: dict, r: int) -> dict:
@@ -258,39 +283,77 @@ class _ClassicalChain:
                     out[key] = out.get(key, self.zero) + weight
         return out
 
-    def finalize(self, terms: dict) -> Scalar:
-        if set(terms) - {()}:
-            raise AssertionError("classical chain finalized with open blocks")
-        return terms.get((), self.zero)
+
+def _chain(f: GridKernel, model: str) -> _Chain:
+    """The chain evaluator for f's moments in one model."""
+    p, m, mode = f.order, f.resolution, f.mode
+    if p < 1:
+        raise InvalidInputError("chain values need an order >= 1 kernel")
+    if model == "classical":
+        return _ClassicalChain(_sym_array(f.coeffs, p, m, mode), p, m, mode)
+    if model == "free":
+        if not is_mirror_symmetric(f):
+            raise PreconditionError(
+                "free moments are defined for mirror-symmetric kernels"
+            )
+        return _FreeChain(f.coeffs, p, m, mode)
+    raise InvalidInputError(f"unknown model {model!r}")
 
 
-def _chain_dfs(evaluator, p: int, k: int, classes: str) -> dict[tuple, Scalar]:
-    """Depth-first walk of the rank tree, sharing intermediates along
-    prefixes; returns {rank tuple: raw chain value} for the requested class."""
-    results: dict[tuple, Scalar] = {}
-    steps = k - 1
+def _next_ranks(p: int, order: int, left: int, classes: str):
+    """Ranks of the next step from running order `order`, with `left` steps
+    to go counting this one, after which the chain can still close at 0."""
+    for r in (0, p) if classes == "C" else range(p + 1):
+        new_order = order + p - 2 * r
+        if r > order or new_order > (left - 1) * p:
+            continue
+        if (new_order + (left - 1) * p) % 2:
+            continue
+        yield r
 
-    def rec(state, prefix: tuple, order: int):
-        depth = len(prefix)
-        if depth == steps:
-            if classes == "E" and all(rj in (0, p) for rj in prefix):
-                return
-            results[prefix] = evaluator.finalize(state)
-            return
-        left = steps - depth
-        choices = (0, p) if classes == "C" else range(0, min(p, order) + 1)
-        for r in choices:
-            if r > min(p, order):
-                continue
-            new_order = order + p - 2 * r
-            if new_order > (left - 1) * p:
-                continue
-            if (new_order + (left - 1) * p) % 2:
-                continue
-            rec(evaluator.step(state, r), prefix + (r,), new_order)
 
-    rec(evaluator.initial(), (), p)
-    return results
+def _walk(chain: _Chain, k: int, classes: str, merge: bool) -> dict:
+    """Walk the rank tree level by level; return {label: raw value}.
+
+    Without merge a state's label is its rank prefix, and the result maps
+    each rank tuple of the class to its chain value.  With merge the label
+    is only whether every rank so far is in {0, p}: prefixes that reach the
+    same block tuple under one label become one term whose weight sums
+    theirs, each rank-r step first multiplies the weights by
+    chain.rank_weight, and the result maps True/False to the C_k/E_k part
+    of the weighted sum.
+    """
+    if k < 2:
+        raise InvalidInputError("chain values need k >= 2")
+    p, steps = chain.p, k - 1
+    levels = {True if merge else (): chain.initial()}
+    for depth in range(steps):
+        nxt: dict = {}
+        for label, terms in levels.items():
+            by_rank: dict[int, dict] = {}
+            for ids, w in terms.items():
+                order = chain.order(ids)
+                for r in _next_ranks(p, order, steps - depth, classes):
+                    by_rank.setdefault(r, {})[ids] = (
+                        w * chain.rank_weight(order, r) if merge else w
+                    )
+            for r, bucket in by_rank.items():
+                key = label and r in (0, p) if merge else label + (r,)
+                out = nxt.setdefault(key, {})
+                for ids, w in chain.step(bucket, r).items():
+                    out[ids] = out.get(ids, chain.zero) + w
+        levels = nxt
+    if classes == "E":
+        levels = {
+            t: terms for t, terms in levels.items() if not all(r in (0, p) for r in t)
+        }
+    return {label: chain.finalize(terms) for label, terms in levels.items()}
+
+
+def _class_sums(chain: _Chain, k: int, classes: str = "B") -> tuple[Scalar, Scalar]:
+    """Raw C_k and E_k parts of the weighted chain sum over B_k (or C_k)."""
+    sums = _walk(chain, k, classes, merge=True)
+    return sums.get(True, chain.zero), sums.get(False, chain.zero)
 
 
 def chain_values(f: GridKernel, k: int, model: str,
@@ -304,54 +367,29 @@ def chain_values(f: GridKernel, k: int, model: str,
     """
     if classes not in ("B", "C", "E"):
         raise InvalidInputError("chain classes must be 'B', 'C' or 'E'")
-    if k < 2:
-        raise InvalidInputError("chain values need k >= 2")
-    p, m, mode = f.order, f.resolution, f.mode
-    if p < 1:
-        raise InvalidInputError("chain values need an order >= 1 kernel")
-    if model == "classical":
-        g = _sym_array(f.coeffs, p, m, mode)
-        evaluator = _ClassicalChain(g, p, m, mode)
-    elif model == "free":
-        if not is_mirror_symmetric(f):
-            raise PreconditionError(
-                "free moments are defined for mirror-symmetric kernels"
-            )
-        evaluator = _FreeChain(f.coeffs, p, m, mode)
-    else:
-        raise InvalidInputError(f"unknown model {model!r}")
-    raw = _chain_dfs(evaluator, p, k, classes)
+    raw = _walk(_chain(f, model), k, classes, merge=False)
     return {
-        t: scaled_scalar(v, f.scale_sq, k, mode) for t, v in raw.items()
+        t: scaled_scalar(v, f.scale_sq, k, f.mode) for t, v in raw.items()
     }
 
 
-def _zero(mode: str) -> Scalar:
-    return 0.0 if mode == "float" else Fraction(0)
+def _formula_moment(f: GridKernel, k: int, model: str) -> Scalar:
+    if f.order == 0:
+        return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)
+    ck, ek = _class_sums(_chain(f, model), k)
+    return scaled_scalar(ck + ek, f.scale_sq, k, f.mode)
 
 
 def free_moment(f: GridKernel, k: int) -> Scalar:
     """E[F^k] for the order-p Wigner integral of a mirror-symmetric f:
     the plain sum of the iterated free contractions over B_k."""
-    if f.order == 0:
-        return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)
-    values = chain_values(f, k, "free", "B")
-    total = _zero(f.mode)
-    for v in values.values():
-        total = total + v
-    return total
+    return _formula_moment(f, k, "free")
 
 
 def classical_moment(f: GridKernel, k: int) -> Scalar:
     """E[F^k] for the Wiener-Ito integral of f (symmetrized first):
     the weighted sum of iterated symmetrized contractions over B_k."""
-    if f.order == 0:
-        return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)
-    values = chain_values(f, k, "classical", "B")
-    total = _zero(f.mode)
-    for t, v in values.items():
-        total = total + comb.classical_coeff_seq(f.order, t) * v
-    return total
+    return _formula_moment(f, k, "classical")
 
 
 # --- fourth-moment identities ----------------------------------------------
@@ -609,33 +647,24 @@ def convergence_report(family: str, n_list, k_max: int, model: str,
     for n in n_list:
         f = family_kernel(family, n=n, model=model, mode=mode)
         prof = contraction_profile(f, model)
-        exact_f = None
+        chain = _chain(f, model)
+        exact_chain = None
         if model == "free" and mode == "float":
             exact_f = family_kernel(family, n=n, model=model, mode="exact")
+            exact_chain = _chain(exact_f, model)
         for k in range(2, k_max + 1):
-            values = chain_values(f, k, model, "B")
-
-            def in_c(t):
-                return all(rj in (0, f.order) for rj in t)
-
+            c_raw, e_raw = _class_sums(chain, k)
+            moment, ck, ek = (
+                scaled_scalar(v, f.scale_sq, k, mode)
+                for v in (c_raw + e_raw, c_raw, e_raw)
+            )
+            if exact_chain is not None:
+                ck = scaled_scalar(
+                    _class_sums(exact_chain, k, "C")[0], exact_f.scale_sq, k, "exact"
+                )
             if model == "classical":
-                weighted = {
-                    t: comb.classical_coeff_seq(f.order, t) * v
-                    for t, v in values.items()
-                }
-                moment = sum(weighted.values(), _zero(mode))
-                ck = sum((v for t, v in weighted.items() if in_c(t)), _zero(mode))
-                ek = sum((v for t, v in weighted.items() if not in_c(t)), _zero(mode))
                 target = comb.gaussian_moment(k)
             else:
-                moment = sum(values.values(), _zero(mode))
-                ek = sum((v for t, v in values.items() if not in_c(t)), _zero(mode))
-                if exact_f is not None:
-                    ck = sum(
-                        chain_values(exact_f, k, "free", "C").values(), Fraction(0)
-                    )
-                else:
-                    ck = sum((v for t, v in values.items() if in_c(t)), _zero(mode))
                 target = comb.semicircle_moment(k)
             rows.append(
                 {

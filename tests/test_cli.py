@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chaoskit.cli import main
+from chaoskit.config import entry_budget, set_thread_count, thread_override
 from chaoskit.kernels import kernel_to_json, new_kernel
 
 
@@ -188,6 +189,46 @@ def test_exit_code_budget(capsys, pair_file):
     code, _ = run(capsys, "moment", pair_file, "--k", "6", "--path",
                   "expansion", "--budget", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", 5),
+    ("scale_sq", "abc"),
+    ("p", 2.7),
+])
+def test_exit_code_ill_typed_kernel_json(capsys, tmp_path, field, value):
+    d = {"model": "classical", "p": 2, "m": 2, "mode": "exact",
+         "coeffs": ["0/1", "1/1", "1/1", "0/1"], field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    code = main(["moment", str(path), "--k", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error (input):") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "0"),
+    ("--budget", "-5"),
+    ("--threads", "0"),
+])
+def test_exit_code_nonpositive_caps(capsys, pair_file, flag, value):
+    before = entry_budget()
+    code = main(["moment", pair_file, "--k", "4", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error (input):")
+    assert entry_budget() == before
+
+
+def test_main_restores_thread_override(capsys, pair_file):
+    set_thread_count(3)
+    try:
+        assert main(["moment", pair_file, "--k", "4", "--threads", "2"]) == 0
+        assert thread_override() == 3
+        assert main(["moment", pair_file, "--k", "4"]) == 0
+        assert thread_override() == 3
+    finally:
+        set_thread_count(None)
 
 
 def test_exit_code_precondition(capsys, tmp_path):

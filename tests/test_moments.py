@@ -6,6 +6,7 @@ import pytest
 
 from chaoskit.chaos import moment_via_expansion
 from chaoskit.combinatorics import (
+    classical_coeff_seq,
     count_C,
     enumerate_tuples,
     limit_value,
@@ -74,6 +75,66 @@ def test_chain_classes_split(rng):
     e = chain_values(f, 6, "free", "E")
     assert set(b) == set(c) | set(e)
     assert not (set(c) & set(e))
+
+
+# --- the merged level-by-level sums against the per-tuple walk ----------------
+
+
+def _per_tuple_terms(f, k, model, classes="B"):
+    """{rank tuple: weighted chain value} from the per-tuple walk."""
+    values = chain_values(f, k, model, classes)
+    if model == "free":
+        return values
+    return {t: classical_coeff_seq(f.order, t) * v for t, v in values.items()}
+
+
+def _assert_same_sum(got, terms, mode, label):
+    want = sum(terms.values(), Fraction(0) if mode == "exact" else 0.0)
+    if mode == "exact":
+        assert isinstance(got, Fraction) and got == want, label
+    else:
+        size = sum(abs(v) for v in terms.values())
+        assert abs(got - want) <= 1e-12 * max(abs(want), size), label
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_merged_moments_match_per_tuple_sums(rng, p, mode):
+    for m in (1, 2, 3):
+        # exact Fraction contractions on 16- to 81-cell kernels take
+        # seconds per k beyond these orders; float mode runs every k
+        kmax = 8 if mode == "float" or m**p <= 9 else 6 if m**p <= 27 else 4
+        for k in range(2, kmax + 1):
+            f = random_symmetric_kernel(rng, p, m, mode)
+            _assert_same_sum(classical_moment(f, k),
+                             _per_tuple_terms(f, k, "classical"), mode,
+                             ("classical", p, m, k))
+            g = random_mirror_kernel(rng, p, m, mode)
+            _assert_same_sum(free_moment(g, k), _per_tuple_terms(g, k, "free"),
+                             mode, ("free", p, m, k))
+
+
+@pytest.mark.parametrize("model", ["classical", "free"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_convergence_report_split_matches_per_tuple(model, mode):
+    for row in convergence_report("pair_clt", [1, 2, 3], 6, model, mode):
+        n, k = row["n"], row["k"]
+        f = family_kernel("pair_clt", n=n, model=model, mode=mode)
+        _assert_same_sum(row["ek_sum"], _per_tuple_terms(f, k, model, "E"), mode,
+                         (n, k))
+        ck_mode = mode
+        if model == "free":
+            # the free C_k part is always summed in exact arithmetic
+            f = family_kernel("pair_clt", n=n, model=model, mode="exact")
+            ck_mode = "exact"
+        _assert_same_sum(row["ck_sum"], _per_tuple_terms(f, k, model, "C"), ck_mode,
+                         (n, k))
+
+
+def test_high_order_pair_moments(pair_kernel):
+    assert classical_moment(pair_kernel, 14) == 135135**2
+    # 156033/64 for the free-normalized kernel (scale_sq 2), times 2**-7
+    assert free_moment(pair_kernel, 14) == Fraction(156033, 8192)
 
 
 # --- reference moment values --------------------------------------------------
