@@ -41,11 +41,21 @@ def budget(n: int):
         _entry_budget = old
 
 
-def check_entries(m: int, order: int) -> int:
-    """Return m**order after verifying it fits in the budget."""
-    entries = m**order
+def check_entries(m: int, order: int, rows: int = 1) -> int:
+    """Return rows * m**order after verifying it fits in the budget.
+
+    The power is capped at the budget's bit length: for m >= 2 that capped
+    power already passes the budget, so a huge order never builds a huge
+    int, and the error reports the capped product as a lower bound.
+    """
+    capped = min(order, _entry_budget.bit_length())
+    entries = rows * m**capped
     if entries > _entry_budget:
-        raise BudgetExceededError(order, entries, _entry_budget)
+        raise BudgetExceededError(
+            order, entries, _entry_budget,
+            f"tensor of order {order} needs {'at least ' if capped < order else ''}"
+            f"{entries} entries, exceeding the budget of {_entry_budget}",
+        )
     return entries
 
 

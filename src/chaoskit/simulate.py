@@ -5,12 +5,23 @@ law.  Writing xi_i = sqrt(m) * (B(i/m) - B((i-1)/m)), every ordered nonzero
 cell with index multiplicities (k_1, ...) contributes
 a_I * m^(-p/2) * prod_i He_{k_i}(xi_i) with probabilists' Hermite
 polynomials; off-diagonal kernels degenerate to plain products of
-increments since He_1(x) = x.
+increments since He_1(x) = x.  Each (variable, degree) column is evaluated
+once per block and shared by every cell that uses it.
 
 Free side: there is no exact sampler, so increments of free Brownian motion
 are approximated by independent N x N GUE matrices whose normalized trace
 variance is exactly 1/m at finite N, and moments are read off normalized
-traces of powers.  The bias vanishes as N grows.
+traces of powers.  The bias vanishes as N grows.  The matrix model
+F_N = sum_I a_I G_{i_1} ... G_{i_p} is built for every p >= 1 the same way:
+the last kernel axis is contracted against the stacked increments, then
+each remaining axis costs one batched gemm against the block row
+[G_1 ... G_m], so a draw spends its time in the Philox normals and BLAS.
+The k trace moments take ceil(k/2) - 1 matmuls: with F, ..., F^ceil(k/2)
+formed, tr(F^j) = sum(F^a * (F^b).T) for a + b = j costs O(N^2).  Kernel
+checks (mirror symmetry, off-diagonal support, the entry budget for the
+m N^2 increments and m^(p-1) N^2 stacked partials) run once per
+mc_free_moment call, not once per draw; the per-draw Hermitian and
+imaginary-residue assertions stay.
 
 Reproducibility contract: all randomness flows through Philox generators
 keyed by SeedSequence(entropy=seed, spawn_key=(index,)).  GUE draws derive
@@ -31,11 +42,12 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .config import thread_count
-from .errors import InvalidInputError, PreconditionError
+from .config import check_entries, thread_count
+from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
+    _digit_matrix,
     as_float,
     is_mirror_symmetric,
     is_off_diagonal,
@@ -78,42 +90,58 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
 
 def _cell_plan(f: GridKernel) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Group ordered nonzero cells by variable multiset; each entry is
-    (variables, multiplicities, summed coefficient * m^(-p/2))."""
+    (variables, multiplicities, summed coefficient * m^(-p/2)), listed in
+    the order of each multiset's first cell."""
     f = as_float(f)
     p, m = f.order, f.resolution
-    plan: dict[tuple, float] = {}
-    flat = f.coeffs
-    for i in range(flat.size):
-        a = flat[i]
-        if a == 0.0:
-            continue
-        counts: dict[int, int] = {}
-        rem = i
-        for j in range(p):
-            d = (rem // m ** (p - 1 - j)) % m
-            counts[d] = counts.get(d, 0) + 1
-        key = tuple(sorted(counts.items()))
-        plan[key] = plan.get(key, 0.0) + a
+    nonzero = np.flatnonzero(f.coeffs)
+    multisets = np.sort(_digit_matrix(m, p)[nonzero], axis=1)
+    keys, first, group = np.unique(multisets, axis=0, return_index=True,
+                                   return_inverse=True)
+    sums = np.bincount(group.reshape(-1), weights=f.coeffs[nonzero])
     norm = m ** (-p / 2.0)
     out = []
-    for key, coeff in plan.items():
-        variables = np.array([v for v, _ in key], dtype=np.int64)
-        mults = np.array([c for _, c in key], dtype=np.int64)
-        out.append((variables, mults, coeff * norm))
+    for g in np.argsort(first):
+        variables, mults = np.unique(keys[g], return_counts=True)
+        out.append((variables, mults, sums[g] * norm))
     return out
 
 
+def _hermite_column(x: np.ndarray, degree: int) -> np.ndarray:
+    """He_degree(x); degree 1 is x itself (a view, no copy)."""
+    if degree == 1:
+        return x
+    basis = np.zeros(degree + 1)
+    basis[degree] = 1.0
+    return hermite_e.hermeval(x, basis)
+
+
 def _evaluate_plan(plan, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the Hermite cell plan on a (batch, m) matrix of normals."""
+    """Evaluate the Hermite cell plan on a (batch, m) matrix of normals.
+    Each (variable, degree) column is computed once per call."""
     total = np.zeros(xi.shape[0])
+    columns: dict[tuple[int, int], np.ndarray] = {}
     for variables, mults, coeff in plan:
         term = np.full(xi.shape[0], coeff)
-        for var, cnt in zip(variables, mults):
-            basis = np.zeros(cnt + 1)
-            basis[cnt] = 1.0
-            term = term * hermite_e.hermeval(xi[:, var], basis)
+        for var, cnt in zip(variables.tolist(), mults.tolist()):
+            col = columns.get((var, cnt))
+            if col is None:
+                col = columns[var, cnt] = _hermite_column(xi[:, var], cnt)
+            term *= col
         total += term
     return total
+
+
+def _int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by repeated squaring (no C pow call)."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 def sample_classical(f: GridKernel, rng: np.random.Generator) -> float:
@@ -144,7 +172,7 @@ def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
         b, rows = args
         rng = derive_rng(cfg.seed, b)
         xi = rng.standard_normal((rows, m))
-        powers = _evaluate_plan(plan, xi) ** k
+        powers = _int_power(_evaluate_plan(plan, xi), k)
         return np.sum(powers), np.sum(powers * powers)
 
     workers = thread_count()
@@ -170,44 +198,38 @@ def gue_increments(m: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """m independent dim x dim GUE matrices scaled so that the expected
     normalized trace of G^2 is exactly 1/m at finite dim."""
     scale = 1.0 / math.sqrt(dim * m)
-    a = rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
-    a *= scale
-    return (a + a.conj().transpose(0, 2, 1)) / 2.0
-
-
-def _matrix_model(f: GridKernel, incr: np.ndarray) -> np.ndarray:
-    """F_N = sum over nonzero cells of a_I G_{i_1} ... G_{i_p}."""
-    p, m = f.order, f.resolution
-    dim = incr.shape[1]
-    flat = f.coeffs
-    if p == 0:
-        return float(flat[0]) * np.eye(dim, dtype=complex)
-    if p == 1:
-        return np.tensordot(flat.astype(complex), incr, axes=([0], [0]))
-    if p == 2:
-        mat = flat.reshape(m, m).astype(complex)
-        partial = np.tensordot(mat, incr, axes=([1], [0]))
-        return np.einsum("iab,ibc->ac", incr, partial)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(flat.size):
-        a = flat[i]
-        if a == 0.0:
-            continue
-        rem = i
-        prod = None
-        for j in range(p):
-            d = (rem // m ** (p - 1 - j)) % m
-            prod = incr[d] if prod is None else prod @ incr[d]
-        out += a * prod
+    shape = (m, dim, dim)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    re *= scale
+    im *= scale
+    # (A + A^*) / 2 for A = re + i im, built part by part
+    out = np.empty(shape, dtype=complex)
+    np.add(re, re.transpose(0, 2, 1), out=out.real)
+    np.subtract(im, im.transpose(0, 2, 1), out=out.imag)
+    out *= 0.5
     return out
 
 
-def sample_free_gue(f: GridKernel, k: int, dim: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Normalized trace moments (1/N) tr(F_N^j), j = 1..k, of one draw of the
-    matrix model.  Requires a mirror-symmetric, off-diagonal kernel so that
-    F_N is Hermitian and no diagonal cell mass is silently approximated;
-    refine diagonal-supported kernels first."""
+def _matrix_model(f: GridKernel, incr: np.ndarray) -> np.ndarray:
+    """F_N = sum over cells of a_I G_{i_1} ... G_{i_p}, one kernel axis at a
+    time from the last: contract it against the stacked increments, then
+    fold each remaining axis in with one batched gemm against the block
+    row [G_1 ... G_m]."""
+    p, m = f.order, f.resolution
+    dim = incr.shape[1]
+    if p == 0:
+        return float(f.coeffs[0]) * np.eye(dim, dtype=complex)
+    x = np.tensordot(f.coeffs.reshape(-1, m), incr, axes=([1], [0]))
+    row = incr.transpose(1, 0, 2).reshape(dim, m * dim)
+    for _ in range(p - 1):
+        x = row @ x.reshape(-1, m * dim, dim)
+    return x.reshape(dim, dim)
+
+
+def _free_sampling_kernel(f: GridKernel, k: int, dim: int) -> GridKernel:
+    """Check a GUE sampling request before anything is allocated and return
+    the float kernel the draws use."""
     if k < 1:
         raise InvalidInputError("moment order k must be >= 1")
     if dim < 2:
@@ -218,35 +240,71 @@ def sample_free_gue(f: GridKernel, k: int, dim: int,
         raise PreconditionError(
             "GUE sampling requires an off-diagonal kernel; refine first"
         )
-    ff = as_float(f)
-    incr = gue_increments(ff.resolution, dim, rng)
-    fn = _matrix_model(ff, incr)
+    # a draw holds m increments and the m^(p-1) stacked partials of
+    # _matrix_model, each dim x dim
+    p, m = f.order, f.resolution
+    try:
+        check_entries(m, max(1, p - 1), rows=dim * dim)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            exc.order, exc.entries, exc.budget,
+            f"GUE matrix model at dimension {dim} needs "
+            f"{m ** max(1, p - 1) * dim * dim} entries, exceeding the budget "
+            f"of {exc.budget}",
+        ) from None
+    return as_float(f)
+
+
+def _gue_moments(ff: GridKernel, k: int, dim: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One draw of (1/N) tr(F_N^j), j = 1..k, for a checked float kernel.
+    Only F, ..., F^ceil(k/2) are formed, two at a time: tr(F^j) =
+    sum(F^a * (F^b).T) with a = j // 2 and b = j - a is the trace of the
+    actual product, so no symmetry of F_N is assumed."""
+    fn = _matrix_model(ff, gue_increments(ff.resolution, dim, rng))
     herm_residue = np.max(np.abs(fn - fn.conj().T))
     fn_scale = max(1.0, float(np.max(np.abs(fn))))
     if herm_residue > 1e-10 * fn_scale:
         raise AssertionError(
             f"matrix model lost Hermitianity: residue {herm_residue}"
         )
+    traces = [np.trace(fn)]
+    power = fn
+    while len(traces) < k:
+        traces.append(np.sum(power * power.T))
+        if len(traces) < k:
+            higher = power @ fn
+            traces.append(np.sum(power * higher.T))
+            power = higher
     out = np.empty(k)
-    power = np.eye(dim, dtype=complex)
-    for j in range(1, k + 1):
-        power = power @ fn
-        tr = complex(np.trace(power)) / dim
+    for j, tr in enumerate(traces, 1):
+        tr = complex(tr) / dim
         if abs(tr.imag) > 1e-10 * max(1.0, abs(tr.real)):
             raise AssertionError(f"trace moment {j} has imaginary residue {tr.imag}")
         out[j - 1] = tr.real
     return out
 
 
+def sample_free_gue(f: GridKernel, k: int, dim: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Normalized trace moments (1/N) tr(F_N^j), j = 1..k, of one draw of the
+    matrix model.  Requires a mirror-symmetric, off-diagonal kernel so that
+    F_N is Hermitian and no diagonal cell mass is silently approximated;
+    refine diagonal-supported kernels first."""
+    return _gue_moments(_free_sampling_kernel(f, k, dim), k, dim, rng)
+
+
 def mc_free_moment(f: GridKernel, k: int, cfg: SampleConfig,
                    target: Optional[Scalar] = None) -> MomentReport:
-    """Average of sample_free_gue over n_samples independent draws."""
+    """Average of the k-th normalized trace moment over n_samples
+    independent draws; the kernel is checked once, not once per draw."""
     if cfg.matrix_dim is None:
         raise InvalidInputError("free simulation requires matrix_dim in the config")
     dim = cfg.matrix_dim
+    ff = _free_sampling_kernel(f, k, dim)
 
     def run_draw(i: int) -> float:
-        return float(sample_free_gue(f, k, dim, derive_rng(cfg.seed, i))[k - 1])
+        return float(_gue_moments(ff, k, dim, derive_rng(cfg.seed, i))[k - 1])
 
     indices = range(cfg.n_samples)
     workers = thread_count()
@@ -264,5 +322,5 @@ def mc_free_moment(f: GridKernel, k: int, cfg: SampleConfig,
         else 0.0
     )
     if target is None and k >= 2:
-        target = free_moment(as_float(f), k)
+        target = free_moment(ff, k)
     return MomentReport(k=k, value=est, path="simulation", stderr=stderr, target=target)

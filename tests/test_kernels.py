@@ -147,6 +147,22 @@ def test_off_diagonal_part():
     assert is_off_diagonal(g)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_off_diagonal_mask_matches_set_loop(rng, mode):
+    from itertools import product
+
+    for p in range(5):
+        for m in (1, 2, 3):
+            f = random_kernel(rng, p, m, mode)
+            diagonal = [len(set(idx)) < p for idx in product(range(m), repeat=p)]
+            ref = [0 if d else c for d, c in zip(diagonal, f.coeffs)]
+            g = off_diagonal_part(f)
+            assert list(g.coeffs) == ref and g.mode == mode
+            assert is_off_diagonal(g)
+            expected = not any(d and c != 0 for d, c in zip(diagonal, f.coeffs))
+            assert is_off_diagonal(f) == expected
+
+
 def test_normalize_classical(pair_kernel):
     g = normalize_variance(pair_kernel, "classical")
     assert g == pair_kernel  # already unit variance: 2! * 1/2 = 1

@@ -1,18 +1,26 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from chaoskit.config import set_thread_count
-from chaoskit.errors import InvalidInputError, PreconditionError
+from chaoskit.cli import main
+from chaoskit.config import budget, check_entries, entry_budget, set_thread_count
+from chaoskit.errors import BudgetExceededError, InvalidInputError, PreconditionError
 from chaoskit.kernels import (
     constant_kernel,
+    kernel_to_json,
     new_kernel,
     normalize_variance,
     off_diagonal_part,
     refine,
+    symmetrize,
 )
 from chaoskit.moments import free_moment
 from chaoskit.simulate import (
     SampleConfig,
+    _cell_plan,
+    _int_power,
+    _matrix_model,
     derive_rng,
     gue_increments,
     mc_classical_moment,
@@ -20,6 +28,8 @@ from chaoskit.simulate import (
     sample_classical,
     sample_free_gue,
 )
+
+from conftest import random_kernel, random_mirror_kernel
 
 
 def test_sample_config_validation():
@@ -181,3 +191,148 @@ def test_mc_free_family_approaches_semicircle():
     assert target == pytest.approx(2.0625)
     rep = mc_free_moment(f8, 4, SampleConfig(seed=4, n_samples=30, matrix_dim=100))
     assert abs(rep.value - target) < 0.15
+
+
+def _reference_matrix_model(f, incr):
+    """F_N summed cell by cell: a_I G_{i_1} ... G_{i_p}."""
+    dim = incr.shape[1]
+    out = np.zeros((dim, dim), dtype=complex)
+    for flat, idx in enumerate(product(range(f.resolution), repeat=f.order)):
+        prod = np.eye(dim, dtype=complex)
+        for i in idx:
+            prod = prod @ incr[i]
+        out += f.coeffs[flat] * prod
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_matrix_model_matches_per_cell_sum(rng, p, m):
+    f = random_kernel(rng, p, m, mode="float")
+    incr = gue_increments(m, 12, derive_rng(31, 10 * p + m))
+    ref = _reference_matrix_model(f, incr)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(_matrix_model(f, incr) - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p, m", [(1, 1), (2, 2), (3, 2), (4, 3)])
+def test_sample_free_gue_matches_traces_of_formed_powers(rng, p, m):
+    f = off_diagonal_part(random_mirror_kernel(rng, p, m, mode="float"))
+    dim, k = 24, 8
+    mom = sample_free_gue(f, k, dim, derive_rng(41, p))
+    fn = _reference_matrix_model(f, gue_increments(m, dim, derive_rng(41, p)))
+    power = np.eye(dim, dtype=complex)
+    ref = []
+    for _ in range(k):
+        power = power @ fn
+        ref.append(np.trace(power).real / dim)
+    np.testing.assert_allclose(mom, ref, rtol=1e-11, atol=1e-11)
+
+
+def test_mc_free_thread_invariant_order3(rng):
+    f = off_diagonal_part(random_mirror_kernel(rng, 3, 3, mode="float"))
+    cfg = SampleConfig(seed=19, n_samples=8, matrix_dim=30)
+    base = mc_free_moment(f, 6, cfg, target=0.0)
+    set_thread_count(3)
+    try:
+        threaded = mc_free_moment(f, 6, cfg, target=0.0)
+    finally:
+        set_thread_count(None)
+    assert threaded.value == base.value and threaded.stderr == base.stderr
+
+
+def test_gue_budget_raises_before_allocating(pair_kernel):
+    pv = normalize_variance(pair_kernel, "free")
+    # m * N^2 = 2 * 50^2 = 5000 increment entries
+    with budget(4999):
+        with pytest.raises(BudgetExceededError) as exc:
+            sample_free_gue(pv, 4, 50, derive_rng(1, 0))
+        assert exc.value.entries == 5000
+        with pytest.raises(BudgetExceededError):
+            mc_free_moment(pv, 4, SampleConfig(seed=1, n_samples=2, matrix_dim=50))
+    with budget(5000):
+        assert sample_free_gue(pv, 4, 50, derive_rng(1, 0)).shape == (4,)
+    # order 3 on m = 3: the stacked partial holds m^(p-1) N^2 = 9 * 100 entries
+    f = off_diagonal_part(random_mirror_kernel(np.random.default_rng(3), 3, 3))
+    with budget(899):
+        with pytest.raises(BudgetExceededError) as exc:
+            sample_free_gue(f, 2, 10, derive_rng(1, 0))
+        assert exc.value.entries == 900
+    with pytest.raises(BudgetExceededError):
+        mc_free_moment(pv, 4, SampleConfig(seed=1, n_samples=1, matrix_dim=10**6))
+
+
+def test_gue_budget_exits_3_from_cli(capsys, tmp_path, pair_kernel):
+    path = tmp_path / "pair.json"
+    path.write_text(kernel_to_json(pair_kernel, "free"))
+    code = main(["simulate", str(path), "--model", "free", "--normalize",
+                 "--k", "4", "--samples", "1", "--seed", "1", "--dim", "1000000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "dimension 1000000" in err and "Traceback" not in err
+
+
+def test_check_entries_stops_at_budget():
+    # the old m**order for this order would never finish
+    with pytest.raises(BudgetExceededError) as exc:
+        check_entries(2, 10**12)
+    assert entry_budget() < exc.value.entries <= 2 * entry_budget()
+    assert "at least" in str(exc.value)
+    assert check_entries(1, 10**12) == 1
+    assert check_entries(3, 4, rows=5) == 5 * 81
+    with pytest.raises(BudgetExceededError):
+        check_entries(2, 1, rows=entry_budget())
+
+
+def test_check_entries_huge_order_json_exits_3(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": 1000000000000, "m": 2, "mode": "float", "coeffs": [1]}')
+    assert main(["moment", str(path), "--k", "2", "--model", "classical"]) == 3
+
+
+def _reference_cell_plan(f):
+    """The plan built by decoding each flat index digit by digit."""
+    p, m = f.order, f.resolution
+    plan = {}
+    for i, a in enumerate(f.coeffs):
+        if a == 0.0:
+            continue
+        counts = {}
+        rem = i
+        for j in range(p):
+            d = (rem // m ** (p - 1 - j)) % m
+            counts[d] = counts.get(d, 0) + 1
+        key = tuple(sorted(counts.items()))
+        plan[key] = plan.get(key, 0.0) + a
+    norm = m ** (-p / 2.0)
+    return [([v for v, _ in key], [c for _, c in key], coeff * norm)
+            for key, coeff in plan.items()]
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_cell_plan_matches_digit_loop(rng, p):
+    for m in (1, 2, 3):
+        f = symmetrize(random_kernel(rng, p, m, mode="float"))
+        got = [(v.tolist(), c.tolist(), w) for v, c, w in _cell_plan(f)]
+        assert got == _reference_cell_plan(f)
+
+
+def test_int_power_matches_pow():
+    x = derive_rng(2, 0).standard_normal(1000)
+    for k in range(1, 9):
+        np.testing.assert_allclose(_int_power(x, k), x**k, rtol=8e-16 * k, atol=0)
+
+
+def test_mc_classical_estimate_across_blocks_and_threads():
+    # three blocks of a kernel with diagonal mass, so cells share Hermite
+    # columns of degree 1 to 3
+    f = constant_kernel(3, 3, mode="float")
+    cfg = SampleConfig(seed=8, n_samples=150_000)
+    base = mc_classical_moment(f, 2, cfg)
+    set_thread_count(3)
+    try:
+        threaded = mc_classical_moment(f, 2, cfg)
+    finally:
+        set_thread_count(None)
+    assert threaded.value == base.value and threaded.stderr == base.stderr
+    assert abs(base.value - float(base.target)) <= 5 * base.stderr
