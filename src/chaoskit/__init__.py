@@ -9,7 +9,6 @@ from .errors import (
     ChaosKitError,
     InvalidInputError,
     PreconditionError,
-    VerificationError,
 )
 from .config import budget, entry_budget, set_entry_budget, set_thread_count
 from .kernels import (

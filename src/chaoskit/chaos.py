@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contractions import contract_classical_sym, contract_free
 from .errors import InvalidInputError, PreconditionError
@@ -26,6 +25,7 @@ from .kernels import (
     GridKernel,
     Scalar,
     add as kernel_add,
+    as_scalar,
     is_mirror_symmetric,
     scale as kernel_scale,
     scaled_scalar,
@@ -71,8 +71,10 @@ def _accumulate(components: dict[int, GridKernel], order: int, kern: GridKernel)
         components[order] = kern
 
 
-def _multiply(F: ChaosExpansion, G: ChaosExpansion,
-              max_order: int | None = None) -> ChaosExpansion:
+def multiply(F: ChaosExpansion, G: ChaosExpansion,
+             max_order: int | None = None) -> ChaosExpansion:
+    """Product of two expansions via the model's product formula; orders
+    above max_order, when given, are dropped."""
     if F.model != G.model:
         raise InvalidInputError(f"model mismatch: {F.model} != {G.model}")
     if F.resolution != G.resolution:
@@ -102,11 +104,6 @@ def _multiply(F: ChaosExpansion, G: ChaosExpansion,
     return ChaosExpansion(F.model, F.resolution, F.mode, out)
 
 
-def multiply(F: ChaosExpansion, G: ChaosExpansion) -> ChaosExpansion:
-    """Product of two expansions via the model's product formula."""
-    return _multiply(F, G)
-
-
 def add(F: ChaosExpansion, G: ChaosExpansion) -> ChaosExpansion:
     if (F.model, F.resolution, F.mode) != (G.model, G.resolution, G.mode):
         raise InvalidInputError("can only add expansions of the same kind")
@@ -121,7 +118,7 @@ def expectation(F: ChaosExpansion) -> Scalar:
     """The order-0 component's value; every positive order has mean zero."""
     comp = F.components.get(0)
     if comp is None:
-        return 0.0 if F.mode == "float" else Fraction(0)
+        return as_scalar(0, F.mode)
     return scaled_scalar(comp.coeffs[0], comp.scale_sq, 1, comp.mode)
 
 
@@ -142,5 +139,5 @@ def moment_via_expansion(f: GridKernel, k: int, model: str) -> Scalar:
     F0 = from_kernel(f, model)
     acc = F0
     for j in range(2, k + 1):
-        acc = _multiply(acc, F0, max_order=(k - j) * f.order)
+        acc = multiply(acc, F0, max_order=(k - j) * f.order)
     return expectation(acc)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from . import combinatorics as comb
-from .chaos import moment_via_expansion
 from .config import entry_budget, set_entry_budget, set_thread_count, thread_override
 from .errors import (
     BudgetExceededError,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .kernels import (
     GridKernel,
+    as_float,
     family_kernel,
     kernel_from_json,
     normalize_variance,
@@ -48,7 +48,7 @@ from .moments import (
     compute_moment,
     contraction_profile,
     convergence_report,
-    fourth_moment_gap,
+    fourth_moment_limit,
     free_fourth_identity,
     free_moment,
     is_normalized,
@@ -184,8 +184,6 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
         requested = mode or kern.mode
         if kern.mode != requested:
             if requested == "float":
-                from .kernels import as_float
-
                 kern = as_float(kern)
             else:
                 raise InvalidInputError(
@@ -222,10 +220,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
     kern, model, source = _load_kernel(args)
     if args.k < 1:
         raise InvalidInputError("--k must be >= 1")
-    if args.k == 1 and args.path == "formula":
-        value = moment_via_expansion(kern, 1, model)
-    else:
-        value = compute_moment(kern, args.k, model, args.path)
+    value = compute_moment(kern, args.k, model, args.path)
     target = None
     if is_normalized(kern, model):
         target = (
@@ -258,19 +253,18 @@ def cmd_fourth_check(args: argparse.Namespace) -> int:
         identity = classical_fourth_identity(kern)
         lhs, rhs = symmetrized_square_identity(kern)
         extra = {"square_identity_lhs": lhs, "square_identity_rhs": rhs}
-        gap = fourth_moment_gap(kern, model)
     else:
         moment = free_moment(kern, 4)
         identity = free_fourth_identity(kern)
         extra = {}
-        gap = fourth_moment_gap(kern, model)
+    limit = fourth_moment_limit(kern, model)
     prof = contraction_profile(kern, model)
     payload = {
         "model": model,
         "moment": moment,
         "identity": identity,
         "residue": moment - identity,
-        "gap": gap,
+        "gap": moment - limit,
         "profile_sq": list(prof.raw_sq),
         "profile_sym_sq": list(prof.sym_sq) if prof.sym_sq is not None else None,
         **extra,

@@ -62,13 +62,6 @@ class ContractionTuple:
         if cls == "E" and in_c:
             raise InvalidInputError("class E excludes tuples with all ranks in {0, p}")
 
-    def running_orders(self) -> list[int]:
-        """[o_0, o_1, ..., o_{k-1}] with o_0 = p."""
-        orders = [self.p]
-        for rj in self.r:
-            orders.append(orders[-1] + self.p - 2 * rj)
-        return orders
-
 
 def _finest_class(p: int, r: tuple[int, ...]) -> str:
     order = p

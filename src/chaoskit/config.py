@@ -2,7 +2,8 @@
 
 Intermediate tensors in k-th moment expansions can reach order ~kp/2+p,
 so every routine that materializes a dense array checks the budget first
-and fails loudly instead of thrashing memory.
+and fails loudly instead of thrashing memory.  numpy's cap on the number
+of array axes is a second, fixed size limit (`check_axes`).
 """
 
 from __future__ import annotations
@@ -10,9 +11,14 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidInputError
 
 DEFAULT_ENTRY_BUDGET = 10_000_000
+
+# numpy's maximum number of array dimensions (NPY_MAXDIMS)
+MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 _entry_budget = DEFAULT_ENTRY_BUDGET
 _thread_count: int | None = None
@@ -57,6 +63,18 @@ def check_entries(m: int, order: int, rows: int = 1) -> int:
             f"{entries} entries, exceeding the budget of {_entry_budget}",
         )
     return entries
+
+
+def check_axes(m: int, order: int) -> tuple[int, ...]:
+    """Return the shape (m,) * order after verifying numpy can hold that
+    many axes; call it before reshaping an array to one axis per slot."""
+    if order > MAX_AXES:
+        raise BudgetExceededError(
+            order, order, MAX_AXES,
+            f"tensor of order {order} needs one axis per slot, exceeding "
+            f"numpy's cap of {MAX_AXES} axes",
+        )
+    return (m,) * order
 
 
 def thread_count() -> int:

@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all chaoskit modules.
 
 The CLI maps these onto its exit-code contract:
-invalid input -> 2, size budget -> 3, violated precondition -> 4,
-verification failure -> 5.
+invalid input -> 2, size budget -> 3, violated precondition -> 4.
 """
 
 
@@ -33,7 +32,3 @@ class BudgetExceededError(ChaosKitError):
 class PreconditionError(ChaosKitError):
     """An operation's mathematical precondition does not hold
     (symmetry, mirror symmetry, normalization, positivity)."""
-
-
-class VerificationError(ChaosKitError):
-    """Raised by the verification suite when an invariant fails."""

@@ -5,18 +5,22 @@ of the uniform m x ... x m grid.  Coefficients are stored flat in row-major
 order over index tuples (i_1, ..., i_p) in {1..m}^p; cell (i_1, ..., i_p)
 covers prod_j [(i_j-1)/m, i_j/m), so every cell has measure 1/m^p.
 
-Two numeric modes exist and never mix inside one computation:
+Two numeric modes exist and never mix inside one computation.  The mode
+fixes only the scalar type: every array routine of the package runs the
+same numpy calls on either, and this module alone turns a mode into
+numbers (coefficient coercion, `as_scalar`, `scaled_scalar`, JSON).
 
 ``exact``
-    coefficients are :class:`fractions.Fraction`; all identities hold as
-    equalities of rationals.  Normalizations whose scale is irrational
-    (e.g. 1/sqrt(2)) are carried by the ``scale_sq`` field: the kernel
-    represented is sqrt(scale_sq) * coeffs, with ``scale_sq`` rational.
-    Every quantity of even homogeneity degree therefore stays rational.
+    coefficients are :class:`fractions.Fraction` in object arrays; all
+    identities hold as equalities of rationals.  Normalizations whose
+    scale is irrational (e.g. 1/sqrt(2)) are carried by the ``scale_sq``
+    field: the kernel represented is sqrt(scale_sq) * coeffs, with
+    ``scale_sq`` rational.  Every quantity of even homogeneity degree
+    therefore stays rational.
 
 ``float``
-    coefficients are binary64; scales are folded into the coefficients
-    at construction time and ``scale_sq`` is identically 1.
+    coefficients are binary64 (float64 arrays); scales are folded into the
+    coefficients at construction time and ``scale_sq`` is identically 1.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .config import check_entries
+from .config import check_axes, check_entries
 from .errors import InvalidInputError, PreconditionError
 
 Scalar = Union[Fraction, float]
@@ -55,6 +59,11 @@ def exact_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def as_scalar(x, mode: str) -> Scalar:
+    """The rational x as a scalar of the given mode."""
+    return float(x) if mode == "float" else Fraction(x)
+
+
 def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -> Scalar:
     """Return raw * scale_sq**(half_power/2), exactly when representable.
 
@@ -63,7 +72,7 @@ def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -
     scale_sq is a perfect square.
     """
     if raw == 0:
-        return Fraction(0) if mode == "exact" else 0.0
+        return as_scalar(0, mode)
     if mode == "float":
         return float(raw) * float(scale_sq) ** (half_power / 2.0)
     rad = scale_sq**half_power
@@ -121,7 +130,7 @@ class GridKernel:
     @property
     def array(self) -> np.ndarray:
         """Coefficients reshaped to (m,)*p (a view; treat as read-only)."""
-        return self.coeffs.reshape((self.resolution,) * self.order)
+        return self.coeffs.reshape(check_axes(self.resolution, self.order))
 
     @property
     def n_entries(self) -> int:
@@ -153,7 +162,8 @@ def new_kernel(p: int, m: int, coeffs: Iterable, mode: str = "exact",
     """Build a kernel from flat row-major coefficients.
 
     Raises InvalidInputError on a length mismatch or non-finite entry and
-    BudgetExceededError when m**p exceeds the entry budget.
+    BudgetExceededError when m**p, or the order itself, exceeds the entry
+    budget.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -161,7 +171,9 @@ def new_kernel(p: int, m: int, coeffs: Iterable, mode: str = "exact",
         raise InvalidInputError("kernel order must be >= 0")
     if m < 1:
         raise InvalidInputError("grid resolution must be >= 1")
-    check_entries(m, p)
+    # an m = 1 kernel has one coefficient, but its digit table and p! still
+    # grow with p
+    check_entries(m, p, rows=p if m == 1 else 1)
     arr = _coerce_coeffs(coeffs, mode)
     if arr.size != m**p:
         raise InvalidInputError(
@@ -170,11 +182,8 @@ def new_kernel(p: int, m: int, coeffs: Iterable, mode: str = "exact",
     sq = Fraction(scale_sq)
     if sq <= 0:
         raise InvalidInputError("scale_sq must be positive")
-    if mode == "float":
-        if sq != 1:
-            arr = arr * math.sqrt(float(sq))
-            sq = _ONE
-        return GridKernel(p, m, mode, arr, _ONE)
+    if mode == "float" and sq != 1:
+        arr, sq = arr * math.sqrt(float(sq)), _ONE
     return GridKernel(p, m, mode, arr, sq)
 
 
@@ -196,10 +205,7 @@ def _require_compatible(f: GridKernel, g: GridKernel, same_order: bool = True) -
 def l2_inner(f: GridKernel, g: GridKernel) -> Scalar:
     """L2 inner product on [0,1]^p: (1/m^p) * sum_I a_I b_I, scales included."""
     _require_compatible(f, g)
-    raw = np.dot(f.coeffs, g.coeffs)
-    if f.mode == "float":
-        return float(raw) / f.resolution**f.order
-    raw = Fraction(raw) / f.resolution**f.order
+    raw = as_scalar(np.dot(f.coeffs, g.coeffs), f.mode) / f.resolution**f.order
     rad = f.scale_sq * g.scale_sq
     root = exact_sqrt(rad)
     if root is not None:
@@ -216,33 +222,34 @@ def l2_norm_sq(f: GridKernel) -> Scalar:
     return l2_inner(f, f)
 
 
-def _sym_array(arr: np.ndarray, p: int, m: int, mode: str) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _multisets(m: int, p: int) -> np.ndarray:
+    """The rows of _digit_matrix sorted: each cell's index multiset."""
+    rows = np.sort(_digit_matrix(m, p), axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit id of every cell under argument permutations (cells with the
+    same index multiset share an id) and the size of each orbit."""
+    keys = _multisets(m, p) @ (m ** np.arange(p - 1, -1, -1, dtype=np.int64))
+    _, ids, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    ids.setflags(write=False)
+    sizes.setflags(write=False)
+    return ids, sizes
+
+
+def _sym_array(arr: np.ndarray, p: int, m: int) -> np.ndarray:
     """Symmetrize by orbit accumulation: each coefficient becomes the mean of
     its value over all arrangements of its index multiset."""
-    if p <= 1:
+    if p <= 1 or m == 1:  # one cell per orbit
         return arr.copy()
-    digits = _digit_matrix(m, p)
-    if mode == "float":
-        keys = np.sort(digits, axis=1) @ (m ** np.arange(p - 1, -1, -1, dtype=np.int64))
-        _, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv, weights=arr)
-        counts = np.bincount(inv)
-        return (sums / counts)[inv]
-    sums: dict = {}
-    counts: dict = {}
-    flat_keys = [tuple(sorted(digits[i])) for i in range(arr.size)]
-    for i, key in enumerate(flat_keys):
-        if key in sums:
-            sums[key] += arr[i]
-            counts[key] += 1
-        else:
-            sums[key] = arr[i]
-            counts[key] = 1
-    out = np.empty(arr.size, dtype=object)
-    means = {key: sums[key] / counts[key] for key in sums}
-    for i, key in enumerate(flat_keys):
-        out[i] = means[key]
-    return out
+    ids, sizes = _orbits(m, p)
+    sums = np.zeros(sizes.size, dtype=arr.dtype)
+    np.add.at(sums, ids, arr)
+    return (sums / sizes)[ids]
 
 
 def symmetrize(f: GridKernel) -> GridKernel:
@@ -251,16 +258,16 @@ def symmetrize(f: GridKernel) -> GridKernel:
         f.order,
         f.resolution,
         f.mode,
-        _sym_array(f.coeffs, f.order, f.resolution, f.mode),
+        _sym_array(f.coeffs, f.order, f.resolution),
         f.scale_sq,
     )
 
 
 def _adjoint_array(arr: np.ndarray, p: int, m: int) -> np.ndarray:
-    if p <= 1:
+    if p <= 1 or m == 1:  # reversing the slots moves no cell
         return arr.copy()
     return (
-        arr.reshape((m,) * p)
+        arr.reshape(check_axes(m, p))
         .transpose(tuple(reversed(range(p))))
         .reshape(-1)
         .copy()
@@ -281,7 +288,7 @@ def adjoint(f: GridKernel) -> GridKernel:
 def is_symmetric(f: GridKernel) -> bool:
     return bool(
         np.array_equal(
-            f.coeffs, _sym_array(f.coeffs, f.order, f.resolution, f.mode)
+            f.coeffs, _sym_array(f.coeffs, f.order, f.resolution)
         )
     )
 
@@ -294,7 +301,7 @@ def is_mirror_symmetric(f: GridKernel) -> bool:
 
 def _repeated_digit_mask(m: int, p: int) -> np.ndarray:
     """Flat mask of the cells whose index tuple repeats a digit."""
-    rows = np.sort(_digit_matrix(m, p), axis=1)
+    rows = _multisets(m, p)
     return np.any(rows[:, 1:] == rows[:, :-1], axis=1)
 
 
@@ -310,16 +317,13 @@ def off_diagonal_part(f: GridKernel) -> GridKernel:
     if f.order < 2:
         return f
     arr = f.coeffs.copy()
-    zero = 0.0 if f.mode == "float" else _ZERO
-    arr[_repeated_digit_mask(f.resolution, f.order)] = zero
+    arr[_repeated_digit_mask(f.resolution, f.order)] = as_scalar(0, f.mode)
     return GridKernel(f.order, f.resolution, f.mode, arr, f.scale_sq)
 
 
 def scale(f: GridKernel, c) -> GridKernel:
     """Multiply the kernel by a scalar (exact mode: c must be rational)."""
-    if f.mode == "float":
-        return GridKernel(f.order, f.resolution, f.mode, f.coeffs * float(c), f.scale_sq)
-    c = Fraction(c)
+    c = as_scalar(c, f.mode)
     return GridKernel(f.order, f.resolution, f.mode, f.coeffs * c, f.scale_sq)
 
 
@@ -327,8 +331,6 @@ def fold_scale(f: GridKernel) -> GridKernel:
     """Push scale_sq into the coefficients; exact mode requires it to be a
     perfect rational square."""
     if f.scale_sq == 1:
-        return f
-    if f.mode == "float":
         return f
     root = exact_sqrt(f.scale_sq)
     if root is None:
@@ -368,21 +370,19 @@ def normalize_variance(f: GridKernel, model: str) -> GridKernel:
     if f.is_zero():
         raise PreconditionError("cannot normalize the zero kernel")
     if model == "classical":
-        g = symmetrize(f)
-        v = math.factorial(f.order) * l2_norm_sq(g)
+        f = symmetrize(f)
+        v = math.factorial(f.order) * l2_norm_sq(f)
         if v == 0:
             raise PreconditionError("cannot normalize: symmetrization vanishes")
-        if f.mode == "float":
-            return GridKernel(g.order, g.resolution, g.mode, g.coeffs / math.sqrt(v), _ONE)
-        return GridKernel(g.order, g.resolution, g.mode, g.coeffs, g.scale_sq / v)
-    w = l2_inner(f, adjoint(f))
-    if w <= 0:
-        raise PreconditionError(
-            f"free normalization requires <f, f*> > 0, got {w}"
-        )
+    else:
+        v = l2_inner(f, adjoint(f))
+        if v <= 0:
+            raise PreconditionError(
+                f"free normalization requires <f, f*> > 0, got {v}"
+            )
     if f.mode == "float":
-        return GridKernel(f.order, f.resolution, f.mode, f.coeffs / math.sqrt(w), _ONE)
-    return GridKernel(f.order, f.resolution, f.mode, f.coeffs, f.scale_sq / w)
+        return GridKernel(f.order, f.resolution, f.mode, f.coeffs / math.sqrt(v), _ONE)
+    return GridKernel(f.order, f.resolution, f.mode, f.coeffs, f.scale_sq / v)
 
 
 def refine(f: GridKernel, factor: int) -> GridKernel:
@@ -392,8 +392,6 @@ def refine(f: GridKernel, factor: int) -> GridKernel:
         raise InvalidInputError("refinement factor must be >= 1")
     if factor == 1:
         return f
-    if f.order == 0:
-        return GridKernel(0, f.resolution * factor, f.mode, f.coeffs.copy(), f.scale_sq)
     m2 = f.resolution * factor
     check_entries(m2, f.order)
     arr = f.array

@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import combinatorics as comb
+from .chaos import moment_via_expansion
+from .config import check_axes
 from .contractions import (
     contract_arrays_free,
     contract_classical,
@@ -65,8 +66,10 @@ from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
+    _digit_matrix,
     _sym_array,
     adjoint,
+    as_scalar,
     family_kernel,
     is_mirror_symmetric,
     is_symmetric,
@@ -146,13 +149,13 @@ class _Chain:
     def __init__(self, f_arr: np.ndarray, p: int, m: int, mode: str):
         self.p = p
         self.m = m
-        self.mode = mode
         self.store = _FactorStore(mode)
         self.base = self.store.add(p, f_arr)
         self.f_arr = f_arr
-        self.one = 1.0 if mode == "float" else Fraction(1)
-        self.zero = 0.0 if mode == "float" else Fraction(0)
+        self.one = as_scalar(1, mode)
+        self.zero = as_scalar(0, mode)
         self.memo: dict = {}
+        self.splits: dict = {}
 
     def initial(self) -> dict:
         return {(self.base,): self.one}
@@ -190,10 +193,8 @@ class _FreeChain(_Chain):
         if hit is None:
             arrs = [self.store.arrays[i] for i in popped]
             orders = [self.store.orders[i] for i in popped]
-            block = tensor_product_arrays(arrs, orders, self.m, self.mode)
-            out = contract_arrays_free(
-                block, total, self.f_arr, self.p, r, self.m, self.mode
-            )
+            block = tensor_product_arrays(arrs, orders, self.m)
+            out = contract_arrays_free(block, total, self.f_arr, self.p, r, self.m)
             out_order = total + self.p - 2 * r
             if out_order == 0:
                 hit = ("s", out[0])
@@ -212,7 +213,7 @@ class _FreeChain(_Chain):
         return out
 
 
-def _compositions(total: int, caps: list[int]):
+def _compositions(total: int, caps: tuple[int, ...]):
     """All tuples c with 0 <= c_i <= caps[i] and sum(c) == total."""
     n = len(caps)
 
@@ -244,11 +245,11 @@ class _ClassicalChain(_Chain):
         parts = [
             (self.store.arrays[i], self.store.orders[i], ri) for i, ri in parts_key
         ]
-        arr, order = multi_contract(self.f_arr, self.p, parts, self.m, self.mode)
+        arr, order = multi_contract(self.f_arr, self.p, parts, self.m)
         if order == 0:
             hit = ("s", arr[0])
         else:
-            hit = ("f", self.store.add(order, _sym_array(arr, order, self.m, self.mode)))
+            hit = ("f", self.store.add(order, _sym_array(arr, order, self.m)))
         self.memo[parts_key] = hit
         return hit
 
@@ -259,17 +260,18 @@ class _ClassicalChain(_Chain):
                 key = tuple(sorted(ids + (self.base,)))
                 out[key] = out.get(key, self.zero) + w
                 continue
-            orders = [self.store.orders[i] for i in ids]
-            o = sum(orders)
-            denom = math.comb(o, r)
-            for split in _compositions(r, orders):
-                count = 1
-                for oi, ci in zip(orders, split):
-                    count *= math.comb(oi, ci)
-                if self.mode == "float":
-                    weight = w * (count / denom)
-                else:
-                    weight = w * Fraction(count, denom)
+            orders = tuple(self.store.orders[i] for i in ids)
+            splits = self.splits.get((orders, r))
+            if splits is None:
+                # ratios prod_i C(o_i, r_i) / C(o, r), once per chain; one * count
+                # makes each a scalar of the chain's mode
+                denom = math.comb(sum(orders), r)
+                splits = self.splits[(orders, r)] = [
+                    (split, self.one * math.prod(map(math.comb, orders, split)) / denom)
+                    for split in _compositions(r, orders)
+                ]
+            for split, ratio in splits:
+                weight = w * ratio
                 parts_key = tuple(
                     sorted((ids[i], ci) for i, ci in enumerate(split) if ci > 0)
                 )
@@ -290,7 +292,7 @@ def _chain(f: GridKernel, model: str) -> _Chain:
     if p < 1:
         raise InvalidInputError("chain values need an order >= 1 kernel")
     if model == "classical":
-        return _ClassicalChain(_sym_array(f.coeffs, p, m, mode), p, m, mode)
+        return _ClassicalChain(_sym_array(f.coeffs, p, m), p, m, mode)
     if model == "free":
         if not is_mirror_symmetric(f):
             raise PreconditionError(
@@ -326,6 +328,7 @@ def _walk(chain: _Chain, k: int, classes: str, merge: bool) -> dict:
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
     p, steps = chain.p, k - 1
+    check_axes(chain.m, p)  # every step reshapes f to one axis per slot
     levels = {True if merge else (): chain.initial()}
     for depth in range(steps):
         nxt: dict = {}
@@ -376,7 +379,10 @@ def chain_values(f: GridKernel, k: int, model: str,
 def _formula_moment(f: GridKernel, k: int, model: str) -> Scalar:
     if f.order == 0:
         return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)
-    ck, ek = _class_sums(_chain(f, model), k)
+    chain = _chain(f, model)
+    if k == 1:
+        return chain.zero
+    ck, ek = _class_sums(chain, k)
     return scaled_scalar(ck + ek, f.scale_sq, k, f.mode)
 
 
@@ -395,7 +401,9 @@ def classical_moment(f: GridKernel, k: int) -> Scalar:
 # --- fourth-moment identities ----------------------------------------------
 
 
-def _require_normalized(f: GridKernel, model: str) -> None:
+def require_normalized(f: GridKernel, model: str) -> None:
+    """Raise PreconditionError unless the order-p integral of f has unit
+    variance in the given model."""
     if model == "classical":
         v = math.factorial(f.order) * l2_norm_sq(symmetrize(f))
         label = "p! ||sym(f)||^2"
@@ -431,10 +439,10 @@ def classical_fourth_identity(f: GridKernel) -> Scalar:
     for a symmetric, variance-normalized kernel."""
     if not is_symmetric(f):
         raise PreconditionError("the classical identity needs a symmetric kernel")
-    _require_normalized(f, "classical")
+    require_normalized(f, "classical")
     p = f.order
     pf2 = math.factorial(p) ** 2
-    total = 3 if f.mode == "float" else Fraction(3)
+    total = as_scalar(3, f.mode)
     for r in range(1, p):
         raw = l2_norm_sq(contract_classical(f, f, r))
         sym = l2_norm_sq(contract_classical_sym(f, f, r))
@@ -452,10 +460,10 @@ def symmetrized_square_identity(f: GridKernel) -> tuple[Scalar, Scalar]:
     for a symmetric variance-normalized kernel."""
     if not is_symmetric(f):
         raise PreconditionError("the square identity needs a symmetric kernel")
-    _require_normalized(f, "classical")
+    require_normalized(f, "classical")
     p = f.order
     lhs = math.factorial(2 * p) * l2_norm_sq(contract_classical_sym(f, f, 0))
-    rhs = 2 if f.mode == "float" else Fraction(2)
+    rhs = as_scalar(2, f.mode)
     pf2 = math.factorial(p) ** 2
     for r in range(1, p):
         rhs = rhs + pf2 * math.comb(p, r) ** 2 * l2_norm_sq(
@@ -470,27 +478,28 @@ def contraction_profile(f: GridKernel, model: str) -> ContractionProfile:
     fourth-moment criterion."""
     if model not in ("classical", "free"):
         raise InvalidInputError(f"unknown model {model!r}")
+    ranks = range(1, f.order)
     if model == "free":
-        raw = tuple(
-            l2_norm_sq(contract_free(f, f, r)) for r in range(1, f.order)
-        )
-        return ContractionProfile(raw_sq=raw, sym_sq=None)
-    raw = tuple(
-        l2_norm_sq(contract_classical(f, f, r)) for r in range(1, f.order)
+        raw = tuple(l2_norm_sq(contract_free(f, f, r)) for r in ranks)
+        return ContractionProfile(raw)
+    return ContractionProfile(
+        tuple(l2_norm_sq(contract_classical(f, f, r)) for r in ranks),
+        tuple(l2_norm_sq(contract_classical_sym(f, f, r)) for r in ranks),
     )
-    sym = tuple(
-        l2_norm_sq(contract_classical_sym(f, f, r)) for r in range(1, f.order)
-    )
-    return ContractionProfile(raw_sq=raw, sym_sq=sym)
+
+
+def fourth_moment_limit(f: GridKernel, model: str) -> int:
+    """The limit of E[F^4] under a normalized kernel (3 classical, 2 free);
+    raises PreconditionError unless f is normalized."""
+    require_normalized(f, model)
+    return 3 if model == "classical" else 2
 
 
 def fourth_moment_gap(f: GridKernel, model: str) -> Scalar:
-    """E[F^4] minus its limiting value (3 classical, 2 free) for a
-    normalized kernel; nonnegative by the fourth-moment identities."""
-    _require_normalized(f, model)
-    if model == "classical":
-        return classical_moment(symmetrize(f), 4) - 3
-    return free_moment(f, 4) - 2
+    """E[F^4] minus its limiting value for a normalized kernel; nonnegative
+    by the fourth-moment identities."""
+    limit = fourth_moment_limit(f, model)
+    return _formula_moment(f, 4, model) - limit
 
 
 # --- Wick/Isserlis oracle ---------------------------------------------------
@@ -526,17 +535,16 @@ def _gauss_polynomial(f: GridKernel) -> dict:
     WITHOUT the overall m^(-p/2) and scale factors: each ordered nonzero
     cell with index multiplicities (k_1, ...) contributes
     a_I * prod_i He_{k_i}(xi_i)."""
-    p, m = f.order, f.resolution
+    m = f.resolution
     poly: dict = {}
     flat = f.coeffs
+    digits = _digit_matrix(m, f.order)
     for i in range(flat.size):
         a = flat[i]
         if a == 0:
             continue
         counts: dict[int, int] = {}
-        rem = i
-        for j in range(p):
-            d = (rem // m ** (p - 1 - j)) % m
+        for d in digits[i].tolist():
             counts[d] = counts.get(d, 0) + 1
         cell_poly: dict = {(0,) * m: 1}
         for var, cnt in counts.items():
@@ -595,10 +603,7 @@ def wick_oracle_moment(f: GridKernel, k: int, *, var_cap: int = WICK_VARIABLE_CA
             if e:
                 term *= comb.double_factorial(e - 1)
         raw += term
-    if f.mode == "float":
-        return float(raw) * float(f.scale_sq) ** (k / 2.0) / m ** (k * p / 2.0)
-    raw = Fraction(raw)
-    return scaled_scalar(raw, f.scale_sq / m**p, k, "exact")
+    return scaled_scalar(raw, f.scale_sq / m**p, k, f.mode)
 
 
 # --- cross-path dispatch and convergence tables ------------------------------
@@ -606,14 +611,10 @@ def wick_oracle_moment(f: GridKernel, k: int, *, var_cap: int = WICK_VARIABLE_CA
 
 def compute_moment(f: GridKernel, k: int, model: str, path: str = "formula") -> Scalar:
     """Route to one of the three deterministic moment paths."""
-    from .chaos import moment_via_expansion  # local import to avoid cycle
-
     if model not in ("classical", "free"):
         raise InvalidInputError(f"unknown model {model!r}")
     if path == "formula":
-        if model == "classical":
-            return classical_moment(symmetrize(f), k)
-        return free_moment(f, k)
+        return _formula_moment(f, k, model)
     if path == "expansion":
         return moment_via_expansion(f, k, model)
     if path == "oracle":
@@ -625,7 +626,7 @@ def compute_moment(f: GridKernel, k: int, model: str, path: str = "formula") -> 
 
 def is_normalized(f: GridKernel, model: str) -> bool:
     try:
-        _require_normalized(f, model)
+        require_normalized(f, model)
     except PreconditionError:
         return False
     return True

@@ -47,7 +47,7 @@ from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
-    _digit_matrix,
+    _multisets,
     as_float,
     is_mirror_symmetric,
     is_off_diagonal,
@@ -95,7 +95,7 @@ def _cell_plan(f: GridKernel) -> list[tuple[np.ndarray, np.ndarray, float]]:
     f = as_float(f)
     p, m = f.order, f.resolution
     nonzero = np.flatnonzero(f.coeffs)
-    multisets = np.sort(_digit_matrix(m, p)[nonzero], axis=1)
+    multisets = _multisets(m, p)[nonzero]
     keys, first, group = np.unique(multisets, axis=0, return_index=True,
                                    return_inverse=True)
     sums = np.bincount(group.reshape(-1), weights=f.coeffs[nonzero])

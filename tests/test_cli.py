@@ -97,6 +97,31 @@ def test_fourth_check_unnormalized_is_precondition_error(capsys, tmp_path):
     assert code == 4
 
 
+def test_fourth_check_free_unnormalized_is_precondition_error(capsys, tmp_path):
+    path = tmp_path / "twos2.json"
+    path.write_text(kernel_to_json(new_kernel(2, 1, [2]), "free"))
+    for mode in ("exact", "float"):
+        code, _ = run(capsys, "fourth-check", str(path), "--mode", mode)
+        assert code == 4
+
+
+@pytest.mark.parametrize("model", ["classical", "free"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_moment_first_order(capsys, tmp_path, pair_file, model, mode):
+    # an m=1 kernel is one cell, so at k=1 even p=70, past numpy's axis
+    # cap, needs no axis per slot
+    p70 = tmp_path / "p70.json"
+    p70.write_text(kernel_to_json(new_kernel(70, 1, [1]), model))
+    for kern in (pair_file, str(p70)):
+        for path in ("formula", "expansion"):
+            code, obj = run_json(capsys, "moment", kern, "--k", "1", "--model",
+                                 model, "--mode", mode, "--path", path)
+            assert code == 0
+            expect = "0/1" if mode == "exact" else 0.0
+            assert obj["report"]["value"] == expect
+            assert obj["report"]["value_float"] == 0.0
+
+
 def test_index_sets_counts(capsys):
     code, out = run(capsys, "index-sets", "--p", "2", "--k", "4", "--class", "C")
     assert code == 0
@@ -189,6 +214,22 @@ def test_exit_code_budget(capsys, pair_file):
     code, _ = run(capsys, "moment", pair_file, "--k", "6", "--path",
                   "expansion", "--budget", "8")
     assert code == 3
+
+
+@pytest.mark.parametrize("p, mode, model, k, reason", [
+    (10**12, "float", "classical", 2, "entries"),  # an order past the budget
+    (100000, "float", "classical", 2, "axes"),
+    (70, "exact", "free", 2, "axes"),
+    (32, "float", "classical", 6, "axes"),  # a block of order 92
+])
+def test_exit_code_order_past_axis_cap(capsys, tmp_path, p, mode, model, k, reason):
+    d = {"model": model, "p": p, "m": 1, "mode": mode, "coeffs": [1]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    code = main(["moment", str(path), "--k", str(k)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error (budget):") and reason in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaoskit.errors import InvalidInputError
@@ -150,17 +151,30 @@ def test_multi_contract_matches_sequential(pair_kernel):
     # fusing two rank-1 blocks into the pair kernel gives f^3 / m^2 = f/4
     arr, order = multi_contract(
         pair_kernel.coeffs, 2,
-        [(pair_kernel.coeffs, 2, 1), (pair_kernel.coeffs, 2, 1)], 2, "exact",
+        [(pair_kernel.coeffs, 2, 1), (pair_kernel.coeffs, 2, 1)], 2,
     )
     assert order == 2
     assert list(arr) == [0, Fraction(1, 4), Fraction(1, 4), 0]
+
+
+def test_multi_contract_full_contraction_keeps_mode(pair_kernel):
+    # sum_S f[S]^2 / m^2 = 2/4 for the pair kernel
+    arr, order = multi_contract(
+        pair_kernel.coeffs, 2, [(pair_kernel.coeffs, 2, 2)], 2
+    )
+    assert order == 0 and arr.shape == (1,) and arr.dtype == object
+    assert type(arr[0]) is Fraction and arr[0] == Fraction(1, 2)
+    ff = as_float(pair_kernel)
+    arr, order = multi_contract(ff.coeffs, 2, [(ff.coeffs, 2, 2)], 2)
+    assert order == 0 and arr.shape == (1,) and arr.dtype == np.float64
+    assert arr[0] == 0.5
 
 
 def test_multi_contract_overconsumption(pair_kernel):
     with pytest.raises(InvalidInputError):
         multi_contract(
             pair_kernel.coeffs, 2,
-            [(pair_kernel.coeffs, 2, 2), (pair_kernel.coeffs, 2, 1)], 2, "exact",
+            [(pair_kernel.coeffs, 2, 2), (pair_kernel.coeffs, 2, 1)], 2,
         )
 
 

@@ -99,9 +99,19 @@ def test_symmetrize_three_cell_orbit():
 
 
 def test_symmetrize_matches_brute_force(rng):
-    for p, m in ((2, 3), (3, 2), (4, 2)):
-        f = random_kernel(rng, p, m)
-        assert symmetrize(f) == brute_symmetrize(f)
+    # exact and float kernels share one symmetrization; coefficients have
+    # |a| <= 4, so a float orbit mean of at most p! values errs by less
+    # than p! * 4 * eps
+    for p in range(5):
+        for m in range(1, 5):
+            f = random_kernel(rng, p, m)
+            sf = symmetrize(f)
+            assert sf == brute_symmetrize(f)
+            assert all(type(c) is Fraction for c in sf.coeffs)
+            ff = symmetrize(as_float(f))
+            assert ff.coeffs.dtype == np.float64
+            tol = math.factorial(p) * 4 * np.finfo(np.float64).eps
+            assert np.max(np.abs(ff.coeffs - as_float(sf).coeffs)) <= tol
 
 
 def test_symmetrize_idempotent_linear(rng):

@@ -11,8 +11,10 @@ from chaoskit.combinatorics import (
     enumerate_tuples,
     limit_value,
 )
+from chaoskit.config import MAX_AXES
 from chaoskit.errors import BudgetExceededError, InvalidInputError, PreconditionError
 from chaoskit.kernels import (
+    as_float,
     constant_kernel,
     family_kernel,
     l2_norm_sq,
@@ -167,6 +169,39 @@ def test_classical_moment_values(pair_kernel):
     assert classical_moment(pair_kernel, 4) == 9
     assert classical_moment(constant_kernel(1, 1), 6) == 15
     assert classical_moment(constant_kernel(2, 1), 2) == 2
+
+
+def test_formula_moment_first_order_is_zero(pair_kernel):
+    assert type(classical_moment(pair_kernel, 1)) is Fraction
+    assert classical_moment(pair_kernel, 1) == 0
+    assert type(free_moment(pair_kernel, 1)) is Fraction
+    assert free_moment(pair_kernel, 1) == 0
+    pf = as_float(pair_kernel)
+    assert type(classical_moment(pf, 1)) is float
+    assert classical_moment(pf, 1) == 0
+    assert type(free_moment(pf, 1)) is float
+    assert free_moment(pf, 1) == 0
+    with pytest.raises(PreconditionError):
+        free_moment(new_kernel(2, 2, [0, 1, 0, 0]), 1)
+
+
+def test_orders_near_numpy_axis_cap():
+    # an m=1 kernel of order 32 or 33 fits one axis per slot; the chain's
+    # tensor products of several blocks stay flat
+    assert free_moment(constant_kernel(32, 1), 8) == 13057121
+    # at k=1 nothing is reshaped, so even an order past the cap answers
+    assert classical_moment(constant_kernel(70, 1), 1) == 0
+    assert free_moment(constant_kernel(70, 1), 1) == 0
+    if MAX_AXES < 64:
+        pytest.skip("numpy < 2 caps arrays at 32 axes")
+    p = 33
+    # E[He_p^4] = sum_r (r! C(p,r)^2)^2 (2p-2r)!
+    expect = sum(
+        (math.factorial(r) * math.comb(p, r) ** 2) ** 2 * math.factorial(2 * p - 2 * r)
+        for r in range(p + 1)
+    )
+    assert classical_moment(constant_kernel(p, 1), 4) == expect
+    assert moment_via_expansion(constant_kernel(p, 1), 4, "classical") == expect
 
 
 def test_classical_third_moment_second_chaos():
