@@ -35,7 +35,9 @@ from .errors import (
 )
 from .kernels import (
     GridKernel,
+    _frac_str,
     as_float,
+    as_scalar,
     family_kernel,
     kernel_from_json,
     normalize_variance,
@@ -44,13 +46,11 @@ from .kernels import (
 from .moments import (
     MomentReport,
     classical_fourth_identity,
-    classical_moment,
     compute_moment,
     contraction_profile,
     convergence_report,
     fourth_moment_limit,
     free_fourth_identity,
-    free_moment,
     is_normalized,
     symmetrized_square_identity,
 )
@@ -111,7 +111,7 @@ def _manifest(command: str, args: argparse.Namespace, *, kernel_source=None,
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _frac_str(value)
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, (list, tuple)):
@@ -126,7 +126,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _frac_str(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
@@ -234,7 +234,7 @@ def cmd_moment(args: argparse.Namespace) -> int:
         "model": model,
         "path": report.path,
         "value": report.value,
-        "value_float": float(report.value),
+        "value_float": as_scalar(report.value, "float"),
         "target": report.target,
     }
     manifest = _manifest("moment", args, kernel_source=source, model=model,
@@ -247,18 +247,20 @@ def cmd_fourth_check(args: argparse.Namespace) -> int:
     kern, model, source = _load_kernel(args)
     if args.normalize:
         kern = normalize_variance(kern, model)
+    # each precondition and each self-contraction once: the identities
+    # reuse the profile, and the normalization check covers them
     if model == "classical":
         kern = symmetrize(kern)
-        moment = classical_moment(kern, 4)
-        identity = classical_fourth_identity(kern)
-        lhs, rhs = symmetrized_square_identity(kern)
-        extra = {"square_identity_lhs": lhs, "square_identity_rhs": rhs}
-    else:
-        moment = free_moment(kern, 4)
-        identity = free_fourth_identity(kern)
-        extra = {}
+    moment = compute_moment(kern, 4, model)  # free: checks f = f*
     limit = fourth_moment_limit(kern, model)
     prof = contraction_profile(kern, model)
+    if model == "classical":
+        identity = classical_fourth_identity(kern, prof)
+        lhs, rhs = symmetrized_square_identity(kern, prof)
+        extra = {"square_identity_lhs": lhs, "square_identity_rhs": rhs}
+    else:
+        identity = free_fourth_identity(kern, prof)
+        extra = {}
     payload = {
         "model": model,
         "moment": moment,

@@ -5,37 +5,45 @@ of the uniform m x ... x m grid.  Coefficients are stored flat in row-major
 order over index tuples (i_1, ..., i_p) in {1..m}^p; cell (i_1, ..., i_p)
 covers prod_j [(i_j-1)/m, i_j/m), so every cell has measure 1/m^p.
 
-Two numeric modes exist and never mix inside one computation.  The mode
-fixes only the scalar type: every array routine of the package runs the
-same numpy calls on either, and this module alone turns a mode into
-numbers (coefficient coercion, `as_scalar`, `scaled_scalar`, JSON).
+Two numeric modes exist and never mix inside one computation.  This module
+alone turns a mode into numbers (coefficient coercion, `as_scalar`,
+`scaled_scalar`, `_reduce`, `_widen`, JSON); every array routine of the
+package runs the same numpy calls on either.
 
 ``exact``
-    coefficients are :class:`fractions.Fraction` in object arrays; all
-    identities hold as equalities of rationals.  Normalizations whose
-    scale is irrational (e.g. 1/sqrt(2)) are carried by the ``scale_sq``
-    field: the kernel represented is sqrt(scale_sq) * coeffs, with
-    ``scale_sq`` rational.  Every quantity of even homogeneity degree
-    therefore stays rational.
+    the coefficients are ``factor * nums``: one integer numerator array and
+    one positive :class:`fractions.Fraction` that absorbs the common
+    denominator and the 1/m^r measure factors of contractions.  `_reduce`
+    divides the numerators by their gcd, so the pair is canonical and equal
+    blocks have equal bytes.  Numerators are int64 when an a-priori bound
+    shows that no sum can pass 2^63 - 1 (`_widen`; numpy integer arithmetic
+    wraps silently), else object arrays of Python ints.  ``coeffs`` derives
+    the Fraction coefficients on first use.  All identities hold as
+    equalities of rationals.  Normalizations whose scale is irrational
+    (e.g. 1/sqrt(2)) are carried by the ``scale_sq`` field: the kernel
+    represented is sqrt(scale_sq) * coeffs, with ``scale_sq`` rational.
+    Every quantity of even homogeneity degree therefore stays rational.
 
 ``float``
-    coefficients are binary64 (float64 arrays); scales are folded into the
-    coefficients at construction time and ``scale_sq`` is identically 1.
+    ``nums`` holds the binary64 coefficients and ``factor`` is 1; scales are
+    folded into the coefficients at construction time and ``scale_sq`` is
+    identically 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .config import check_axes, check_entries
-from .errors import InvalidInputError, PreconditionError
+from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 
 Scalar = Union[Fraction, float]
 
@@ -44,6 +52,7 @@ MODES = ("exact", "float")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT64_MAX = 2**63 - 1
 
 
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -60,8 +69,14 @@ def exact_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def as_scalar(x, mode: str) -> Scalar:
-    """The rational x as a scalar of the given mode."""
-    return float(x) if mode == "float" else Fraction(x)
+    """The rational x as a scalar of the given mode; a float past the
+    binary64 range is +-inf."""
+    if mode == "exact":
+        return Fraction(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -> Scalar:
@@ -79,7 +94,91 @@ def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -
     root = exact_sqrt(rad)
     if root is not None:
         return raw * root
-    return float(raw) * math.sqrt(float(rad))
+    return as_scalar(raw, "float") * math.sqrt(as_scalar(rad, "float"))
+
+
+# --- the exact number format ------------------------------------------------
+
+
+def _max_abs(a: np.ndarray) -> int:
+    if a.dtype == object or a.size <= 64:  # small blocks: a list is faster
+        return max(map(abs, a.reshape(-1).tolist()), default=0)
+    return int(np.abs(a).max())
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Python ints as int64 when they all fit, else as an object array."""
+    fits = max(map(abs, values), default=0) <= _INT64_MAX
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _widen(inner: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operands of a product of `arrays` summed over `inner` terms.
+
+    When every operand is int64 and max|a_1| * ... * max|a_n| * inner could
+    pass 2^63 - 1, they become object arrays of Python ints, which cannot
+    overflow; other dtypes pass through."""
+    if any(a.dtype != np.int64 for a in arrays):
+        return arrays
+    bound = inner
+    for a in arrays:
+        bound *= _max_abs(a)
+    if bound <= _INT64_MAX:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _times(x, factor: Fraction):
+    """A float scalar or array times a rational factor; dividing by an
+    integer denominator rounds once, as the plain division did."""
+    return x / factor.denominator if factor.numerator == 1 else x * float(factor)
+
+
+def _reduce(nums: np.ndarray, factor: Fraction) -> tuple[np.ndarray, Fraction]:
+    """The canonical form of the coefficients factor * nums.
+
+    Exact: the numerators' gcd moves into a positive factor (all zeros:
+    int64 zeros with factor 1) and they are int64 whenever they fit.
+    Float: the factor is folded into the array."""
+    if nums.dtype.kind == "f":
+        return (nums if factor == 1 else _times(nums, factor)), _ONE
+    g = int(np.gcd.reduce(nums))
+    if g == 0 or factor == 0:
+        return np.zeros(nums.size, dtype=np.int64), _ONE
+    if factor < 0:
+        g = -g
+    if g != 1:
+        nums, factor = nums // g, factor * g
+    if nums.dtype == object and _max_abs(nums) <= _INT64_MAX:
+        nums = nums.astype(np.int64)
+    return nums, factor
+
+
+def _product(factors: list, den: int) -> Fraction:
+    """prod(factors) / den with one gcd instead of one per multiplication."""
+    return Fraction(math.prod(q.numerator for q in factors),
+                    den * math.prod(q.denominator for q in factors))
+
+
+def _content(nums: np.ndarray):
+    """Hashable content of a canonical numerator array."""
+    return tuple(nums.tolist()) if nums.dtype == object else nums.tobytes()
+
+
+def _scalar(raw, factor: Fraction) -> Scalar:
+    """factor * raw for one entry of a numerator array: a Fraction for an
+    integer entry, a float for a float one."""
+    if isinstance(raw, (float, np.floating)):
+        return _times(float(raw), factor)
+    return int(raw) * factor
+
+
+def _split(coeffs) -> tuple[np.ndarray, Fraction]:
+    """Rational coefficients as numerators over their common denominator."""
+    values = [Fraction(c) for c in np.asarray(coeffs, dtype=object).flat]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = _int_array([v.numerator * (den // v.denominator) for v in values])
+    return nums, Fraction(1, den)
 
 
 @lru_cache(maxsize=256)
@@ -100,32 +199,46 @@ def _coerce_coeffs(values: Iterable, mode: str) -> np.ndarray:
         if arr.size and not np.all(np.isfinite(arr)):
             raise InvalidInputError("float kernels must have finite coefficients")
         return arr
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        if isinstance(v, Fraction):
-            out[i] = v
-        elif isinstance(v, (int, np.integer)):
-            out[i] = Fraction(int(v))
-        elif isinstance(v, str):
-            out[i] = Fraction(v)
-        elif isinstance(v, float):
-            if not math.isfinite(v):
-                raise InvalidInputError("exact kernels must have finite coefficients")
-            out[i] = Fraction(v)
-        else:
-            raise InvalidInputError(f"cannot coerce {v!r} to an exact coefficient")
-    return out
+    try:  # rationals, "num/den" strings and finite floats
+        return np.array([Fraction(v) for v in values], dtype=object)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"not an exact coefficient: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridKernel:
-    """Immutable step kernel; safe to share across threads."""
+    """Immutable step kernel; safe to share across threads.
+
+    ``GridKernel(p, m, mode, coeffs, scale_sq)`` takes the coefficients in
+    the mode's scalar type; with ``factor`` given, ``coeffs`` are numerators
+    and the coefficients are factor * coeffs.  Either way the kernel stores
+    the canonical pair (``nums``, ``factor``) described in the module
+    docstring.
+    """
 
     order: int
     resolution: int
     mode: str
-    coeffs: np.ndarray
-    scale_sq: Fraction = field(default=_ONE)
+    nums: np.ndarray
+    factor: Fraction
+    scale_sq: Fraction
+
+    def __init__(self, order: int, resolution: int, mode: str, coeffs: np.ndarray,
+                 scale_sq: Fraction = _ONE, factor: Fraction | None = None):
+        if factor is None:
+            coeffs, factor = _split(coeffs) if mode == "exact" else (coeffs, _ONE)
+        nums, factor = _reduce(coeffs, factor)
+        for name, value in (("order", order), ("resolution", resolution), ("mode", mode),
+                            ("nums", nums), ("factor", factor), ("scale_sq", scale_sq)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Flat coefficients: float64, or an object array of Fractions
+        derived from the numerators (treat as read-only)."""
+        if self.mode == "float":
+            return self.nums
+        return self.nums.astype(object) * self.factor
 
     @property
     def array(self) -> np.ndarray:
@@ -134,10 +247,10 @@ class GridKernel:
 
     @property
     def n_entries(self) -> int:
-        return self.coeffs.size
+        return self.nums.size
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs.flat)
+        return not np.count_nonzero(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridKernel):
@@ -147,7 +260,8 @@ class GridKernel:
             and self.resolution == other.resolution
             and self.mode == other.mode
             and self.scale_sq == other.scale_sq
-            and bool(np.array_equal(self.coeffs, other.coeffs))
+            and self.factor == other.factor
+            and bool(np.array_equal(self.nums, other.nums))
         )
 
     def __repr__(self) -> str:
@@ -205,7 +319,8 @@ def _require_compatible(f: GridKernel, g: GridKernel, same_order: bool = True) -
 def l2_inner(f: GridKernel, g: GridKernel) -> Scalar:
     """L2 inner product on [0,1]^p: (1/m^p) * sum_I a_I b_I, scales included."""
     _require_compatible(f, g)
-    raw = as_scalar(np.dot(f.coeffs, g.coeffs), f.mode) / f.resolution**f.order
+    a, b = _widen(f.n_entries, f.nums, g.nums)
+    raw = _scalar(np.dot(a, b), f.factor * g.factor / f.resolution**f.order)
     rad = f.scale_sq * g.scale_sq
     root = exact_sqrt(rad)
     if root is not None:
@@ -231,36 +346,43 @@ def _multisets(m: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Orbit id of every cell under argument permutations (cells with the
-    same index multiset share an id) and the size of each orbit."""
+    same index multiset share an id), the size of each orbit, the lcm L of
+    the sizes and the integers L / size."""
     keys = _multisets(m, p) @ (m ** np.arange(p - 1, -1, -1, dtype=np.int64))
     _, ids, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-    ids.setflags(write=False)
-    sizes.setflags(write=False)
-    return ids, sizes
+    lcm = math.lcm(*sizes.tolist())
+    mult = _int_array([lcm // s for s in sizes.tolist()])
+    for arr in (ids, sizes, mult):
+        arr.setflags(write=False)
+    return ids, sizes, lcm, mult
 
 
-def _sym_array(arr: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Symmetrize by orbit accumulation: each coefficient becomes the mean of
-    its value over all arrangements of its index multiset."""
+def _sym_array(nums: np.ndarray, factor: Fraction, p: int,
+               m: int) -> tuple[np.ndarray, Fraction]:
+    """Symmetrize the coefficients factor * nums by orbit accumulation: each
+    coefficient becomes the mean of its value over all arrangements of its
+    index multiset.  Exact numerators become orbit sums times L / size under
+    the factor factor / L, L the lcm of the orbit sizes.  The result is not
+    reduced."""
     if p <= 1 or m == 1:  # one cell per orbit
-        return arr.copy()
-    ids, sizes = _orbits(m, p)
-    sums = np.zeros(sizes.size, dtype=arr.dtype)
-    np.add.at(sums, ids, arr)
-    return (sums / sizes)[ids]
+        return nums.copy(), factor
+    ids, sizes, lcm, mult = _orbits(m, p)
+    (nums,) = _widen(lcm, nums)
+    if nums.dtype.kind == "f":  # the float path divides before it sums
+        nums, factor = _reduce(nums, factor)
+    sums = np.zeros(sizes.size, dtype=nums.dtype)
+    np.add.at(sums, ids, nums)
+    if nums.dtype.kind == "f":
+        return (sums / sizes)[ids], factor
+    return (sums * mult)[ids], factor / lcm
 
 
 def symmetrize(f: GridKernel) -> GridKernel:
     """Average f over all argument permutations (idempotent, linear)."""
-    return GridKernel(
-        f.order,
-        f.resolution,
-        f.mode,
-        _sym_array(f.coeffs, f.order, f.resolution),
-        f.scale_sq,
-    )
+    nums, factor = _sym_array(f.nums, f.factor, f.order, f.resolution)
+    return GridKernel(f.order, f.resolution, f.mode, nums, f.scale_sq, factor)
 
 
 def _adjoint_array(arr: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -280,22 +402,19 @@ def adjoint(f: GridKernel) -> GridKernel:
         f.order,
         f.resolution,
         f.mode,
-        _adjoint_array(f.coeffs, f.order, f.resolution),
+        _adjoint_array(f.nums, f.order, f.resolution),
         f.scale_sq,
+        f.factor,
     )
 
 
 def is_symmetric(f: GridKernel) -> bool:
-    return bool(
-        np.array_equal(
-            f.coeffs, _sym_array(f.coeffs, f.order, f.resolution)
-        )
-    )
+    return symmetrize(f) == f
 
 
 def is_mirror_symmetric(f: GridKernel) -> bool:
     return bool(
-        np.array_equal(f.coeffs, _adjoint_array(f.coeffs, f.order, f.resolution))
+        np.array_equal(f.nums, _adjoint_array(f.nums, f.order, f.resolution))
     )
 
 
@@ -309,22 +428,22 @@ def is_off_diagonal(f: GridKernel) -> bool:
     """True when f vanishes on every cell with a repeated index."""
     if f.order < 2:
         return True
-    return not np.any(f.coeffs[_repeated_digit_mask(f.resolution, f.order)] != 0)
+    return not np.any(f.nums[_repeated_digit_mask(f.resolution, f.order)] != 0)
 
 
 def off_diagonal_part(f: GridKernel) -> GridKernel:
     """Zero out every diagonal-touching cell."""
     if f.order < 2:
         return f
-    arr = f.coeffs.copy()
-    arr[_repeated_digit_mask(f.resolution, f.order)] = as_scalar(0, f.mode)
-    return GridKernel(f.order, f.resolution, f.mode, arr, f.scale_sq)
+    arr = f.nums.copy()
+    arr[_repeated_digit_mask(f.resolution, f.order)] = 0
+    return GridKernel(f.order, f.resolution, f.mode, arr, f.scale_sq, f.factor)
 
 
 def scale(f: GridKernel, c) -> GridKernel:
     """Multiply the kernel by a scalar (exact mode: c must be rational)."""
-    c = as_scalar(c, f.mode)
-    return GridKernel(f.order, f.resolution, f.mode, f.coeffs * c, f.scale_sq)
+    return GridKernel(f.order, f.resolution, f.mode, f.nums, f.scale_sq,
+                      f.factor * Fraction(c))
 
 
 def fold_scale(f: GridKernel) -> GridKernel:
@@ -337,24 +456,56 @@ def fold_scale(f: GridKernel) -> GridKernel:
         raise InvalidInputError(
             f"scale_sq={f.scale_sq} has no rational square root; use float mode"
         )
-    return GridKernel(f.order, f.resolution, f.mode, f.coeffs * root, _ONE)
+    return GridKernel(f.order, f.resolution, f.mode, f.nums, _ONE, f.factor * root)
 
 
 def add(f: GridKernel, g: GridKernel) -> GridKernel:
+    """f + g over the factors' common rational divisor: the numerators are
+    u * f.nums + v * g.nums with integers u, v."""
     _require_compatible(f, g)
-    if f.scale_sq == g.scale_sq:
-        return GridKernel(f.order, f.resolution, f.mode, f.coeffs + g.coeffs, f.scale_sq)
-    f2, g2 = fold_scale(f), fold_scale(g)
-    return GridKernel(f.order, f.resolution, f.mode, f2.coeffs + g2.coeffs, _ONE)
+    if f.scale_sq != g.scale_sq:
+        f, g = fold_scale(f), fold_scale(g)
+    ff, gf = f.factor, g.factor
+    common = Fraction(math.gcd(ff.numerator, gf.numerator),
+                      math.lcm(ff.denominator, gf.denominator))
+    u, v = int(ff / common), int(gf / common)
+    a, b = f.nums, g.nums
+    # canonical object numerators pass int64 themselves, so one bound covers
+    # mixed dtypes; max(.., 1): a huge u must not meet an all-zero array
+    if a.dtype.kind != "f" and (
+            abs(u) * max(_max_abs(a), 1) + abs(v) * max(_max_abs(b), 1) > _INT64_MAX):
+        a, b = a.astype(object), b.astype(object)
+    if u != 1:
+        a = a * u
+    if v != 1:
+        b = b * v
+    return GridKernel(f.order, f.resolution, f.mode, a + b, f.scale_sq, common)
 
 
 def as_float(f: GridKernel) -> GridKernel:
     """Float-mode copy with the exact scale folded in."""
     if f.mode == "float":
         return f
-    arr = np.array([float(c) for c in f.coeffs], dtype=np.float64)
-    arr *= math.sqrt(float(f.scale_sq))
+    arr = np.array([as_scalar(c, "float") for c in f.coeffs], dtype=np.float64)
+    arr *= math.sqrt(as_scalar(f.scale_sq, "float"))
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("kernel coefficients pass the binary64 range; "
+                                "use exact mode")
     return GridKernel(f.order, f.resolution, "float", arr, _ONE)
+
+
+def variance(f: GridKernel, model: str) -> Scalar:
+    """Variance of the order-p integral of f: p! ||f||^2 for a symmetric f
+    (classical) or <f, f*> (free).  In float mode the product with p! is
+    formed exactly and rounded once, since p! alone passes binary64 from
+    p = 171 on; a result past binary64 is inf."""
+    if model == "classical":
+        v, weight = l2_norm_sq(f), math.factorial(f.order)
+    else:
+        v, weight = l2_inner(f, adjoint(f)), 1
+    if f.mode == "exact" or not math.isfinite(v):
+        return weight * v
+    return as_scalar(weight * Fraction(v), "float")
 
 
 def normalize_variance(f: GridKernel, model: str) -> GridKernel:
@@ -371,18 +522,16 @@ def normalize_variance(f: GridKernel, model: str) -> GridKernel:
         raise PreconditionError("cannot normalize the zero kernel")
     if model == "classical":
         f = symmetrize(f)
-        v = math.factorial(f.order) * l2_norm_sq(f)
-        if v == 0:
-            raise PreconditionError("cannot normalize: symmetrization vanishes")
-    else:
-        v = l2_inner(f, adjoint(f))
-        if v <= 0:
-            raise PreconditionError(
-                f"free normalization requires <f, f*> > 0, got {v}"
-            )
+    v = variance(f, model)
+    if model == "classical" and v == 0:
+        raise PreconditionError("cannot normalize: symmetrization vanishes")
+    if model == "free" and v <= 0:
+        raise PreconditionError(
+            f"free normalization requires <f, f*> > 0, got {_brief(v)}"
+        )
     if f.mode == "float":
-        return GridKernel(f.order, f.resolution, f.mode, f.coeffs / math.sqrt(v), _ONE)
-    return GridKernel(f.order, f.resolution, f.mode, f.coeffs, f.scale_sq / v)
+        return GridKernel(f.order, f.resolution, f.mode, f.nums / math.sqrt(v), _ONE)
+    return GridKernel(f.order, f.resolution, f.mode, f.nums, f.scale_sq / v, f.factor)
 
 
 def refine(f: GridKernel, factor: int) -> GridKernel:
@@ -394,10 +543,10 @@ def refine(f: GridKernel, factor: int) -> GridKernel:
         return f
     m2 = f.resolution * factor
     check_entries(m2, f.order)
-    arr = f.array
+    arr = f.nums.reshape(check_axes(f.resolution, f.order))
     for axis in range(f.order):
         arr = np.repeat(arr, factor, axis=axis)
-    return GridKernel(f.order, m2, f.mode, arr.reshape(-1), f.scale_sq)
+    return GridKernel(f.order, m2, f.mode, arr.reshape(-1), f.scale_sq, f.factor)
 
 
 def family_kernel(name: str, *, n: int | None = None, p: int | None = None,
@@ -438,7 +587,24 @@ def family_kernel(name: str, *, n: int | None = None, p: int | None = None,
 
 
 def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    """num/den text; a value past Python's cap on the digits of an int in
+    text is an oversize result."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        cap = sys.get_int_max_str_digits()
+        raise BudgetExceededError(
+            0, 0, cap, f"exact value has more than {cap} digits, Python's cap for "
+            "an int in text; use float mode"
+        ) from exc
+
+
+def _brief(q: Scalar) -> str:
+    """str(q) for a message, or a float approximation past the digit cap."""
+    try:
+        return str(q)
+    except ValueError:
+        return f"~{as_scalar(q, 'float'):.6g}"
 
 
 def to_json_dict(f: GridKernel, model: str | None = None) -> dict:

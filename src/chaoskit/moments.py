@@ -44,8 +44,10 @@ moments against the product-formula expansion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -66,17 +68,21 @@ from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
+    _brief,
+    _content,
     _digit_matrix,
+    _product,
+    _reduce,
+    _scalar,
     _sym_array,
-    adjoint,
     as_scalar,
     family_kernel,
     is_mirror_symmetric,
     is_symmetric,
-    l2_inner,
     l2_norm_sq,
     scaled_scalar,
     symmetrize,
+    variance,
 )
 
 PATHS = ("formula", "expansion", "oracle", "simulation")
@@ -115,53 +121,55 @@ class ContractionProfile:
 # --- factored chain evaluators ---------------------------------------------
 
 
-class _FactorStore:
-    """Content-addressed store of small dense blocks."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.orders: list[int] = []
-        self.arrays: list[np.ndarray] = []
-        self._index: dict = {}
-
-    def _key(self, order: int, arr: np.ndarray):
-        if self.mode == "float":
-            return (order, arr.tobytes())
-        return (order, tuple(arr))
-
-    def add(self, order: int, arr: np.ndarray) -> int:
-        key = self._key(order, arr)
-        hit = self._index.get(key)
-        if hit is not None:
-            return hit
-        self.orders.append(order)
-        self.arrays.append(arr)
-        self._index[key] = len(self.orders) - 1
-        return len(self.orders) - 1
-
-
 class _Chain:
     """Chain state: a dict mapping block-id tuples to scalar weights; the
     represented value is sum_terms w * (tensor product of the blocks).
+    Blocks live in a content-addressed store: each is reduced to its
+    canonical numerators and factor once, so equal blocks share one id.
     Subclasses define a rank-r step; its memo is keyed by block ids, which
     the store makes content addresses."""
 
-    def __init__(self, f_arr: np.ndarray, p: int, m: int, mode: str):
+    def __init__(self, f_nums: np.ndarray, f_factor: Fraction, p: int, m: int,
+                 mode: str):
         self.p = p
         self.m = m
-        self.store = _FactorStore(mode)
-        self.base = self.store.add(p, f_arr)
-        self.f_arr = f_arr
+        self.orders: list[int] = []
+        self.arrays: list[np.ndarray] = []
+        self.factors: list[Fraction] = []
+        self._index: dict = {}
+        self.base = self.add(p, f_nums, f_factor)
+        self.f_arr = self.arrays[self.base]
+        self.f_factor = self.factors[self.base]
         self.one = as_scalar(1, mode)
         self.zero = as_scalar(0, mode)
         self.memo: dict = {}
         self.splits: dict = {}
 
+    def add(self, order: int, nums: np.ndarray, factor: Fraction) -> int:
+        """Id of the block factor * nums, stored on first sight."""
+        nums, factor = _reduce(nums, factor)
+        key = (order, factor, _content(nums))
+        hit = self._index.get(key)
+        if hit is None:
+            hit = self._index[key] = len(self.orders)
+            self.orders.append(order)
+            self.arrays.append(nums)
+            self.factors.append(factor)
+        return hit
+
+    def result(self, ids, r: int, order: int, nums: np.ndarray):
+        """Memo entry for the raw sums `nums` of contracting r slots of the
+        blocks `ids` with f: ("s", scalar) or ("f", block id)."""
+        factor = _product([self.f_factor, *(self.factors[i] for i in ids)], self.m**r)
+        if order == 0:
+            return ("s", _scalar(nums[0], factor))
+        return ("f", self.add(order, nums, factor))
+
     def initial(self) -> dict:
         return {(self.base,): self.one}
 
     def order(self, ids: tuple) -> int:
-        return sum(self.store.orders[i] for i in ids)
+        return sum(self.orders[i] for i in ids)
 
     def rank_weight(self, order: int, r: int) -> int:
         """Expansion weight of a rank-r step from running order `order`."""
@@ -186,21 +194,15 @@ class _FreeChain(_Chain):
         while total < r:
             i = rest.pop()
             popped.append(i)
-            total += self.store.orders[i]
+            total += self.orders[i]
         popped.reverse()
         key = (tuple(popped), r)
         hit = self.memo.get(key)
         if hit is None:
-            arrs = [self.store.arrays[i] for i in popped]
-            orders = [self.store.orders[i] for i in popped]
-            block = tensor_product_arrays(arrs, orders, self.m)
+            arrs = [self.arrays[i] for i in popped]
+            block = tensor_product_arrays(arrs, [self.orders[i] for i in popped], self.m)
             out = contract_arrays_free(block, total, self.f_arr, self.p, r, self.m)
-            out_order = total + self.p - 2 * r
-            if out_order == 0:
-                hit = ("s", out[0])
-            else:
-                hit = ("f", self.store.add(out_order, out))
-            self.memo[key] = hit
+            hit = self.memo[key] = self.result(popped, r, total + self.p - 2 * r, out)
         if hit[0] == "s":
             return tuple(rest), w * hit[1]
         return tuple(rest) + (hit[1],), w
@@ -213,22 +215,11 @@ class _FreeChain(_Chain):
         return out
 
 
-def _compositions(total: int, caps: tuple[int, ...]):
-    """All tuples c with 0 <= c_i <= caps[i] and sum(c) == total."""
-    n = len(caps)
-
-    def rec(i: int, left: int, prefix: tuple):
-        if i == n:
-            if left == 0:
-                yield prefix
-            return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, left - tail_cap)
-        hi = min(caps[i], left)
-        for c in range(lo, hi + 1):
-            yield from rec(i + 1, left - c, prefix + (c,))
-
-    yield from rec(0, total, ())
+def _compositions(total: int, caps: tuple[int, ...]) -> list[tuple]:
+    """All tuples c with 0 <= c_i <= caps[i] and sum(c) == total, in
+    lexicographic order."""
+    ranges = (range(cap + 1) for cap in caps)
+    return [c for c in itertools.product(*ranges) if sum(c) == total]
 
 
 class _ClassicalChain(_Chain):
@@ -240,18 +231,17 @@ class _ClassicalChain(_Chain):
 
     def _fuse(self, parts_key: tuple):
         hit = self.memo.get(parts_key)
-        if hit is not None:
-            return hit
-        parts = [
-            (self.store.arrays[i], self.store.orders[i], ri) for i, ri in parts_key
-        ]
-        arr, order = multi_contract(self.f_arr, self.p, parts, self.m)
-        if order == 0:
-            hit = ("s", arr[0])
-        else:
-            hit = ("f", self.store.add(order, _sym_array(arr, order, self.m)))
-        self.memo[parts_key] = hit
+        if hit is None:
+            parts = [(self.arrays[i], self.orders[i], ri) for i, ri in parts_key]
+            arr, order = multi_contract(self.f_arr, self.p, parts, self.m, measure=False)
+            ids = [i for i, _ in parts_key]
+            r = sum(ri for _, ri in parts_key)
+            hit = self.memo[parts_key] = self.result(ids, r, order, arr)
         return hit
+
+    def add(self, order: int, nums: np.ndarray, factor: Fraction) -> int:
+        """Classical blocks are stored symmetrized."""
+        return super().add(order, *_sym_array(nums, factor, order, self.m))
 
     def step(self, terms: dict, r: int) -> dict:
         out: dict = {}
@@ -260,7 +250,7 @@ class _ClassicalChain(_Chain):
                 key = tuple(sorted(ids + (self.base,)))
                 out[key] = out.get(key, self.zero) + w
                 continue
-            orders = tuple(self.store.orders[i] for i in ids)
+            orders = tuple(self.orders[i] for i in ids)
             splits = self.splits.get((orders, r))
             if splits is None:
                 # ratios prod_i C(o_i, r_i) / C(o, r), once per chain; one * count
@@ -292,13 +282,13 @@ def _chain(f: GridKernel, model: str) -> _Chain:
     if p < 1:
         raise InvalidInputError("chain values need an order >= 1 kernel")
     if model == "classical":
-        return _ClassicalChain(_sym_array(f.coeffs, p, m), p, m, mode)
+        return _ClassicalChain(f.nums, f.factor, p, m, mode)
     if model == "free":
         if not is_mirror_symmetric(f):
             raise PreconditionError(
                 "free moments are defined for mirror-symmetric kernels"
             )
-        return _FreeChain(f.coeffs, p, m, mode)
+        return _FreeChain(f.nums, f.factor, p, m, mode)
     raise InvalidInputError(f"unknown model {model!r}")
 
 
@@ -404,48 +394,53 @@ def classical_moment(f: GridKernel, k: int) -> Scalar:
 def require_normalized(f: GridKernel, model: str) -> None:
     """Raise PreconditionError unless the order-p integral of f has unit
     variance in the given model."""
-    if model == "classical":
-        v = math.factorial(f.order) * l2_norm_sq(symmetrize(f))
-        label = "p! ||sym(f)||^2"
-    else:
-        v = l2_inner(f, adjoint(f))
-        label = "<f, f*>"
+    v = variance(symmetrize(f) if model == "classical" else f, model)
     if f.mode == "exact":
         ok = v == 1
     else:
-        ok = abs(float(v) - 1.0) <= _NORMALIZATION_RTOL
+        ok = abs(v - 1.0) <= _NORMALIZATION_RTOL
     if not ok:
+        label = "p! ||sym(f)||^2" if model == "classical" else "<f, f*>"
         raise PreconditionError(
             f"kernel is not variance-normalized for the {model} model: "
-            f"{label} = {v}; call normalize_variance first"
+            f"{label} = {_brief(v)}; call normalize_variance first"
         )
 
 
-def free_fourth_identity(f: GridKernel) -> Scalar:
+def free_fourth_identity(f: GridKernel,
+                         profile: Optional[ContractionProfile] = None) -> Scalar:
     """2 ||f||^4 + sum_{r=1}^{p-1} ||f fr_r f||^2, which equals the free
-    fourth moment of any mirror-symmetric kernel."""
-    if not is_mirror_symmetric(f):
-        raise PreconditionError("the free fourth-moment identity needs f = f*")
+    fourth moment of any mirror-symmetric kernel.  A caller that holds f's
+    free contraction_profile passes it and has checked f = f* itself."""
+    if profile is None:
+        if not is_mirror_symmetric(f):
+            raise PreconditionError("the free fourth-moment identity needs f = f*")
+        profile = contraction_profile(f, "free")
     nsq = l2_norm_sq(f)
-    total = 2 * nsq * nsq
-    for r in range(1, f.order):
-        total = total + l2_norm_sq(contract_free(f, f, r))
-    return total
+    return sum(profile.raw_sq, 2 * nsq * nsq)
 
 
-def classical_fourth_identity(f: GridKernel) -> Scalar:
+def _classical_profile(f: GridKernel, what: str) -> ContractionProfile:
+    """The preconditions of the classical identities, then f's profile."""
+    if not is_symmetric(f):
+        raise PreconditionError(f"the {what} needs a symmetric kernel")
+    require_normalized(f, "classical")
+    return contraction_profile(f, "classical")
+
+
+def classical_fourth_identity(f: GridKernel,
+                              profile: Optional[ContractionProfile] = None) -> Scalar:
     """3 + sum_{r=1}^{p-1} C(p,r)^2 [ (p!)^2 ||f ox_r f||^2
     + (r!)^2 C(p,r)^2 (2p-2r)! ||sym(f ox_r f)||^2 ]
-    for a symmetric, variance-normalized kernel."""
-    if not is_symmetric(f):
-        raise PreconditionError("the classical identity needs a symmetric kernel")
-    require_normalized(f, "classical")
+    for a symmetric, variance-normalized kernel.  A caller that holds f's
+    classical contraction_profile passes it and has checked both
+    conditions itself."""
+    if profile is None:
+        profile = _classical_profile(f, "classical identity")
     p = f.order
     pf2 = math.factorial(p) ** 2
     total = as_scalar(3, f.mode)
-    for r in range(1, p):
-        raw = l2_norm_sq(contract_classical(f, f, r))
-        sym = l2_norm_sq(contract_classical_sym(f, f, r))
+    for r, raw, sym in zip(range(1, p), profile.raw_sq, profile.sym_sq):
         c = math.comb(p, r)
         total = total + c**2 * (
             pf2 * raw
@@ -454,21 +449,21 @@ def classical_fourth_identity(f: GridKernel) -> Scalar:
     return total
 
 
-def symmetrized_square_identity(f: GridKernel) -> tuple[Scalar, Scalar]:
+def symmetrized_square_identity(f: GridKernel,
+                                profile: Optional[ContractionProfile] = None
+                                ) -> tuple[Scalar, Scalar]:
     """Both sides of the exact split of the symmetrized tensor square:
     (2p)! ||sym(f ox f)||^2  and  2 + (p!)^2 sum_r C(p,r)^2 ||f ox_r f||^2,
-    for a symmetric variance-normalized kernel."""
-    if not is_symmetric(f):
-        raise PreconditionError("the square identity needs a symmetric kernel")
-    require_normalized(f, "classical")
+    for a symmetric variance-normalized kernel; `profile` as for
+    classical_fourth_identity."""
+    if profile is None:
+        profile = _classical_profile(f, "square identity")
     p = f.order
     lhs = math.factorial(2 * p) * l2_norm_sq(contract_classical_sym(f, f, 0))
     rhs = as_scalar(2, f.mode)
     pf2 = math.factorial(p) ** 2
-    for r in range(1, p):
-        rhs = rhs + pf2 * math.comb(p, r) ** 2 * l2_norm_sq(
-            contract_classical(f, f, r)
-        )
+    for r, raw in zip(range(1, p), profile.raw_sq):
+        rhs = rhs + pf2 * math.comb(p, r) ** 2 * raw
     return lhs, rhs
 
 

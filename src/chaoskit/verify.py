@@ -20,6 +20,7 @@ from .config import budget
 from .errors import BudgetExceededError, PreconditionError
 from .kernels import (
     GridKernel,
+    add,
     adjoint,
     constant_kernel,
     family_kernel,
@@ -54,18 +55,18 @@ def _rand_fraction(rng) -> Fraction:
     return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
 
 
-def _random_kernel(rng, p: int, m: int) -> GridKernel:
-    return new_kernel(p, m, [_rand_fraction(rng) for _ in range(m**p)])
+# the test suite draws its random kernels from these generators too
+def _random_kernel(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
+    return new_kernel(p, m, [_rand_fraction(rng) for _ in range(m**p)], mode=mode)
 
 
-def _random_symmetric(rng, p: int, m: int) -> GridKernel:
-    return symmetrize(_random_kernel(rng, p, m))
+def _random_symmetric(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
+    return symmetrize(_random_kernel(rng, p, m, mode))
 
 
-def _random_mirror(rng, p: int, m: int) -> GridKernel:
-    f = _random_kernel(rng, p, m)
-    half = GridKernel(p, m, f.mode, f.coeffs + adjoint(f).coeffs, f.scale_sq)
-    return half
+def _random_mirror(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
+    f = _random_kernel(rng, p, m, mode)
+    return add(f, adjoint(f))
 
 
 def _check_catalan():

@@ -1,4 +1,5 @@
-"""Shared helpers: independent brute-force oracles and random kernels.
+"""Shared helpers: independent brute-force oracles and random kernels
+(the random-kernel generators are the ones ``chaoskit verify`` uses).
 
 The brute-force contractions below are deliberately naive (triple loops over
 index tuples straight from the defining integrals) so they share no code
@@ -12,7 +13,10 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from chaoskit.kernels import GridKernel, adjoint, new_kernel, symmetrize
+from chaoskit.kernels import GridKernel, new_kernel, symmetrize
+from chaoskit.verify import _random_kernel as random_kernel
+from chaoskit.verify import _random_mirror as random_mirror_kernel
+from chaoskit.verify import _random_symmetric as random_symmetric_kernel
 
 
 def brute_contract_classical(f: GridKernel, g: GridKernel, r: int) -> GridKernel:
@@ -68,26 +72,6 @@ def brute_chain(f: GridKernel, ranks, model: str) -> GridKernel:
     for r in ranks:
         acc = step(acc, f if model == "free" else symmetrize(f), r)
     return acc
-
-
-def rand_fraction(rng, lo: int = -4, hi: int = 4, den: int = 4) -> Fraction:
-    return Fraction(int(rng.integers(lo, hi + 1)), int(rng.integers(1, den + 1)))
-
-
-def random_kernel(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
-    coeffs = [rand_fraction(rng) for _ in range(m**p)]
-    if mode == "float":
-        coeffs = [float(c) for c in coeffs]
-    return new_kernel(p, m, coeffs, mode=mode)
-
-
-def random_symmetric_kernel(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
-    return symmetrize(random_kernel(rng, p, m, mode))
-
-
-def random_mirror_kernel(rng, p: int, m: int, mode: str = "exact") -> GridKernel:
-    f = random_kernel(rng, p, m, mode)
-    return GridKernel(p, m, f.mode, f.coeffs + adjoint(f).coeffs, f.scale_sq)
 
 
 def nonzero(rng, maker, *args, **kwargs) -> GridKernel:

@@ -305,3 +305,33 @@ def test_verify_command(capsys):
     assert code == 0
     assert "invariants passed" in out
     assert "FAIL" not in out
+
+
+def test_moment_float_order_past_factorial_range(capsys, tmp_path):
+    # 200! passes binary64, so the normalization check compares exactly
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 200, "m": 1, "mode": "float", "coeffs": [1.0]}))
+    code, obj = run_json(capsys, "moment", str(path), "--k", "1", "--model", "classical")
+    assert code == 0
+    assert obj["report"]["value"] == 0.0 and obj["report"]["target"] is None
+
+
+def test_fourth_check_symmetrizes_once_per_kernel(capsys, monkeypatch):
+    import chaoskit.kernels as kernels
+    import chaoskit.moments as moments
+
+    orders = []
+    sym_array = kernels._sym_array
+
+    def counting(nums, factor, p, m):
+        orders.append(p)
+        return sym_array(nums, factor, p, m)
+
+    monkeypatch.setattr(kernels, "_sym_array", counting)
+    monkeypatch.setattr(moments, "_sym_array", counting)
+    code, obj = run_json(capsys, "fourth-check", "--family", "pair_clt", "--n", "4",
+                         "--model", "classical")
+    assert code == 0 and obj["report"]["identity"] == obj["report"]["moment"]
+    # the CLI's sym(f), the chain's sym(f) and its three fused blocks, one
+    # normalization check, sym(f ox_1 f) for the profile and sym(f ox f)
+    assert orders == [2] * 7 + [4]
