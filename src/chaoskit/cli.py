@@ -278,16 +278,16 @@ def cmd_fourth_check(args: argparse.Namespace) -> int:
 
 
 def cmd_index_sets(args: argparse.Namespace) -> int:
-    tuples = comb.enumerate_tuples(args.p, args.k, args.cls)
     header = ["p", "k", "class", "r", "classical_coeff", "limit_weight",
               "limit_value", "dyck"]
     rows = []
-    for t in tuples:
+    for r, coeff in comb.rank_tree(args.p, args.k, args.cls):
+        t = comb.ContractionTuple(args.p, args.k, r, args.cls)
         if t.cls == "C":
             lw, lv, dy = comb.limit_weight(t), comb.limit_value(t), comb.dyck_check(t)
         else:
             lw = lv = dy = None
-        rows.append([t.p, t.k, t.cls, list(t.r), comb.classical_coeff(t), lw, lv, dy])
+        rows.append([t.p, t.k, t.cls, list(t.r), coeff, lw, lv, dy])
     manifest = _manifest("index-sets", args, schema=SCHEMAS["index-sets"])
     _emit_table(manifest, header, rows, args)
     return EXIT_OK

@@ -12,6 +12,13 @@ are:
 
 Class C is in bijection with Dyck paths, which is where the Catalan numbers
 enter: #C_k = Cat_{k/2} for even k, independently of p.
+
+The rule for which rank may follow from which running order lives here
+once, in `rank_steps`, together with the classical step weight
+r! C(p, r) C(o, r).  `rank_tree` grows every tuple of a class with its
+weight from that table; `enumerate_tuples`, the `index-sets` command and
+the moment walk in moments.py all iterate it.  `ContractionTuple` checks
+each tuple against the definitions above without using the rule.
 """
 
 from __future__ import annotations
@@ -43,18 +50,17 @@ class ContractionTuple:
             raise InvalidInputError("contraction tuples need p >= 1, k >= 2")
         if len(r) != k - 1:
             raise InvalidInputError(f"expected {k - 1} ranks, got {len(r)}")
-        order = p
-        for j, rj in enumerate(r, start=1):
+        orders = _running_orders(p, r)
+        for j, (rj, order) in enumerate(zip(r, orders), start=1):
             if not 0 <= rj <= p:
                 raise InvalidInputError(f"r_{j}={rj} outside 0..{p}")
             if rj > order:
                 raise InvalidInputError(
                     f"r_{j}={rj} exceeds the running order {order}"
                 )
-            order += p - 2 * rj
-        if cls in ("B", "C", "E") and order != 0:
+        if cls in ("B", "C", "E") and orders[-1] != 0:
             raise InvalidInputError(
-                f"class {cls} requires 2*sum(r) = kp, got final order {order}"
+                f"class {cls} requires 2*sum(r) = kp, got final order {orders[-1]}"
             )
         in_c = all(rj in (0, p) for rj in r)
         if cls == "C" and not in_c:
@@ -63,53 +69,68 @@ class ContractionTuple:
             raise InvalidInputError("class E excludes tuples with all ranks in {0, p}")
 
 
-def _finest_class(p: int, r: tuple[int, ...]) -> str:
-    order = p
+def _running_orders(p: int, r: tuple[int, ...]) -> list[int]:
+    """The running orders o_0 = p, o_1, ..., o_len(r) along r."""
+    orders = [p]
     for rj in r:
-        order += p - 2 * rj
-    if order != 0:
-        return "A"
-    return "C" if all(rj in (0, p) for rj in r) else "E"
+        orders.append(orders[-1] + p - 2 * rj)
+    return orders
+
+
+def _step_weight(p: int, order: int, r: int) -> int:
+    """Classical weight of a rank-r step from running order `order`."""
+    return math.factorial(r) * math.comb(p, r) * math.comb(order, r)
+
+
+def rank_steps(p: int, k: int, cls: str) -> list[dict[int, list[tuple[int, int]]]]:
+    """The rank rule of one class, one table per step.
+
+    Table j maps each running order that a j-step prefix of the class can
+    reach to the ranks allowed next, ascending, each with its classical
+    step weight r! C(p, r) C(o, r).  Closed classes keep only the ranks
+    after which the chain can still return to order 0.  E shares B's
+    table; its tuples are those of B with a rank outside {0, p}.
+    """
+    if cls not in CLASSES:
+        raise InvalidInputError(f"unknown tuple class {cls!r}")
+    if p < 1 or k < 2:
+        raise InvalidInputError("rank tuples need p >= 1, k >= 2")
+    tables: list[dict] = []
+    reach = {p}
+    unit = 2 * p if cls == "C" else 2  # an order moves by p - 2r per step
+    for left in range(k - 1, 0, -1):  # steps to go, counting this one
+        # the later steps close the orders up to (left - 1) p that differ from
+        # it by a multiple of `unit`, except that one last step closes only p
+        room = (left - 1) * p
+        closable = {p} if left == 2 else set(range(room, -1, -unit))
+        choices = (0, p) if cls == "C" else range(p + 1)
+        table = {
+            order: [(r, _step_weight(p, order, r)) for r in choices
+                    if r <= order and (cls == "A" or order + p - 2 * r in closable)]
+            for order in sorted(reach)
+        }
+        tables.append(table)
+        reach = {o + p - 2 * r for o, ranks in table.items() for r, _ in ranks}
+    return tables
+
+
+def rank_tree(p: int, k: int, cls: str) -> list[tuple[tuple[int, ...], int]]:
+    """Every tuple of one class with its classical weight
+    prod_j r_j! C(p, r_j) C(o_{j-1}, r_j), in lexicographic order, grown
+    level by level from `rank_steps`."""
+    level = [((), 1, p)]
+    for table in rank_steps(p, k, cls):
+        level = [
+            (r + (rj,), w * sw, order + p - 2 * rj)
+            for r, w, order in level
+            for rj, sw in table[order]
+        ]
+    return [(r, w) for r, w, _ in level if cls != "E" or any(0 < rj < p for rj in r)]
 
 
 def enumerate_tuples(p: int, k: int, cls: str) -> list[ContractionTuple]:
     """Complete, duplicate-free, lexicographic enumeration of one class."""
-    if cls not in CLASSES:
-        raise InvalidInputError(f"unknown tuple class {cls!r}")
-    if p < 1 or k < 2:
-        raise InvalidInputError("enumeration needs p >= 1, k >= 2")
-    out: list[ContractionTuple] = []
-    closed = cls in ("B", "C", "E")
-    steps = k - 1
-
-    def rec(prefix: tuple[int, ...], order: int) -> None:
-        depth = len(prefix)
-        if depth == steps:
-            if closed and order != 0:
-                return
-            finest = _finest_class(p, prefix)
-            if cls == "C" and finest != "C":
-                return
-            if cls == "E" and finest != "E":
-                return
-            out.append(ContractionTuple(p, k, prefix, cls))
-            return
-        left = steps - depth
-        choices = (0, p) if cls == "C" and p > 0 else range(0, min(p, order) + 1)
-        for rj in choices:
-            if rj > min(p, order):
-                continue
-            new_order = order + p - 2 * rj
-            if closed:
-                # prune branches that cannot come back to order 0
-                if new_order > (left - 1) * p:
-                    continue
-                if (new_order + (left - 1) * p) % 2:
-                    continue
-            rec(prefix + (rj,), new_order)
-
-    rec((), p)
-    return out
+    return [ContractionTuple(p, k, r, cls) for r, _ in rank_tree(p, k, cls)]
 
 
 def catalan(n: int) -> int:
@@ -182,12 +203,7 @@ def dyck_path_count(k: int) -> int:
 
 def classical_coeff_seq(p: int, r: tuple[int, ...]) -> int:
     """Classical expansion weight of a raw rank sequence (no validation)."""
-    coeff = 1
-    order = p
-    for rj in r:
-        coeff *= math.factorial(rj) * math.comb(p, rj) * math.comb(order, rj)
-        order += p - 2 * rj
-    return coeff
+    return math.prod(_step_weight(p, o, rj) for o, rj in zip(_running_orders(p, r), r))
 
 
 def classical_coeff(t: ContractionTuple) -> int:
@@ -201,12 +217,8 @@ def limit_weight(t: ContractionTuple) -> int:
     C_k gives the Gaussian moment (k-1)!!."""
     if t.cls != "C":
         raise InvalidInputError("limit_weight applies to class-C tuples")
-    weight = 1
-    order = t.p
-    for rj in t.r:
-        weight *= math.comb(order // t.p, rj // t.p)
-        order += t.p - 2 * rj
-    return weight
+    orders = _running_orders(t.p, t.r)
+    return math.prod(math.comb(o // t.p, rj // t.p) for o, rj in zip(orders, t.r))
 
 
 def limit_value(t: ContractionTuple) -> Fraction:
@@ -215,9 +227,6 @@ def limit_value(t: ContractionTuple) -> Fraction:
     limit_weight(t) / prod_j r_j! C(o_{j-1}, r_j)."""
     if t.cls != "C":
         raise InvalidInputError("limit_value applies to class-C tuples")
-    denom = 1
-    order = t.p
-    for rj in t.r:
-        denom *= math.factorial(rj) * math.comb(order, rj)
-        order += t.p - 2 * rj
+    orders = _running_orders(t.p, t.r)
+    denom = math.prod(math.factorial(rj) * math.comb(o, rj) for o, rj in zip(orders, t.r))
     return Fraction(limit_weight(t), denom)

@@ -69,16 +69,14 @@ def tensor_product_arrays(arrs: list[np.ndarray], orders: list[int],
 
 
 def multi_contract(core: np.ndarray, p: int, parts: list[tuple[np.ndarray, int, int]],
-                   m: int, measure: bool = True) -> tuple[np.ndarray, int]:
+                   m: int) -> tuple[np.ndarray, int]:
     """Contract several tensors against distinct slot blocks of one core.
 
     `parts` is a list of (array, order, r_i) with r_i >= 1 and sum r_i <= p;
     part i gives its last r_i slots to r_i distinct slots of the core.
-    Returns (flat array, order); slot order is [parts reversed free slots...,
-    core free slots], which callers symmetrize anyway.  Each contracted
-    block is divided by its measure m^r_i unless `measure` is false, which
-    leaves the raw sums for a caller that keeps the factor 1/m^(sum r_i)
-    apart (integer numerators).
+    Returns (flat array of raw sums, order), without the measure factor
+    1/m^(sum r_i); slot order is [parts reversed free slots..., core free
+    slots], which callers symmetrize anyway.
     """
     used = sum(r for _, _, r in parts)
     if used > p:
@@ -93,8 +91,6 @@ def multi_contract(core: np.ndarray, p: int, parts: list[tuple[np.ndarray, int, 
         axes_g = list(range(o - r, o))
         axes_x = list(range(x.ndim - r, x.ndim))
         x = np.tensordot(g, x, axes=(axes_g, axes_x))
-        if measure:
-            x = x / m**r
     # a full contraction leaves a bare scalar; reshape makes it length 1
     return np.reshape(x, -1), out_order
 

@@ -142,7 +142,7 @@ def _reduce(nums: np.ndarray, factor: Fraction) -> tuple[np.ndarray, Fraction]:
     Float: the factor is folded into the array."""
     if nums.dtype.kind == "f":
         return (nums if factor == 1 else _times(nums, factor)), _ONE
-    g = int(np.gcd.reduce(nums))
+    g = abs(int(np.gcd.reduce(nums)))  # one entry: the entry itself, signed
     if g == 0 or factor == 0:
         return np.zeros(nums.size, dtype=np.int64), _ONE
     if factor < 0:

@@ -30,8 +30,10 @@ Walking B_k one tuple at a time costs |B_k|, which grows exponentially
 rank tree level by level instead (`_walk`).  After each step, every
 prefix that reaches the same block tuple is one term whose weight is the sum
 of those prefixes' weights.  The classical weight factors step by step, so a
-rank-r step from order o first multiplies the term weights by
-r! C(p, r) C(o, r) and the final sum needs no per-tuple weight.  Terms also
+rank-r step first multiplies the term weights by its step weight and the
+final sum needs no per-tuple weight.  Which ranks may follow a running
+order, and the step weights, come from `combinatorics.rank_steps`, the one
+place that rule lives; the walk iterates its table.  Terms also
 carry a flag, "every rank so far in {0, p}", so one pass yields both the
 C_k and the E_k part of the sum.
 
@@ -171,10 +173,6 @@ class _Chain:
     def order(self, ids: tuple) -> int:
         return sum(self.orders[i] for i in ids)
 
-    def rank_weight(self, order: int, r: int) -> int:
-        """Expansion weight of a rank-r step from running order `order`."""
-        return 1
-
     def finalize(self, terms: dict) -> Scalar:
         if set(terms) - {()}:
             raise AssertionError("chain finalized with open blocks")
@@ -226,14 +224,11 @@ class _ClassicalChain(_Chain):
     """Terms are symmetrized (block tuples kept sorted), so a rank-r step
     splits each term over the ways of drawing r slots from its blocks."""
 
-    def rank_weight(self, order: int, r: int) -> int:
-        return math.factorial(r) * math.comb(self.p, r) * math.comb(order, r)
-
     def _fuse(self, parts_key: tuple):
         hit = self.memo.get(parts_key)
         if hit is None:
             parts = [(self.arrays[i], self.orders[i], ri) for i, ri in parts_key]
-            arr, order = multi_contract(self.f_arr, self.p, parts, self.m, measure=False)
+            arr, order = multi_contract(self.f_arr, self.p, parts, self.m)
             ids = [i for i, _ in parts_key]
             r = sum(ri for _, ri in parts_key)
             hit = self.memo[parts_key] = self.result(ids, r, order, arr)
@@ -292,18 +287,6 @@ def _chain(f: GridKernel, model: str) -> _Chain:
     raise InvalidInputError(f"unknown model {model!r}")
 
 
-def _next_ranks(p: int, order: int, left: int, classes: str):
-    """Ranks of the next step from running order `order`, with `left` steps
-    to go counting this one, after which the chain can still close at 0."""
-    for r in (0, p) if classes == "C" else range(p + 1):
-        new_order = order + p - 2 * r
-        if r > order or new_order > (left - 1) * p:
-            continue
-        if (new_order + (left - 1) * p) % 2:
-            continue
-        yield r
-
-
 def _walk(chain: _Chain, k: int, classes: str, merge: bool) -> dict:
     """Walk the rank tree level by level; return {label: raw value}.
 
@@ -311,25 +294,24 @@ def _walk(chain: _Chain, k: int, classes: str, merge: bool) -> dict:
     each rank tuple of the class to its chain value.  With merge the label
     is only whether every rank so far is in {0, p}: prefixes that reach the
     same block tuple under one label become one term whose weight sums
-    theirs, each rank-r step first multiplies the weights by
-    chain.rank_weight, and the result maps True/False to the C_k/E_k part
-    of the weighted sum.
+    theirs, a classical rank-r step first multiplies the weights by its
+    step weight, and the result maps True/False to the C_k/E_k part of the
+    weighted sum.  The ranks and step weights come from one
+    `comb.rank_steps` table per walk.
     """
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
-    p, steps = chain.p, k - 1
+    p = chain.p
     check_axes(chain.m, p)  # every step reshapes f to one axis per slot
+    weighted = merge and isinstance(chain, _ClassicalChain)
     levels = {True if merge else (): chain.initial()}
-    for depth in range(steps):
+    for table in comb.rank_steps(p, k, classes):
         nxt: dict = {}
         for label, terms in levels.items():
             by_rank: dict[int, dict] = {}
             for ids, w in terms.items():
-                order = chain.order(ids)
-                for r in _next_ranks(p, order, steps - depth, classes):
-                    by_rank.setdefault(r, {})[ids] = (
-                        w * chain.rank_weight(order, r) if merge else w
-                    )
+                for r, weight in table[chain.order(ids)]:
+                    by_rank.setdefault(r, {})[ids] = w * weight if weighted else w
             for r, bucket in by_rank.items():
                 key = label and r in (0, p) if merge else label + (r,)
                 out = nxt.setdefault(key, {})
@@ -393,17 +375,25 @@ def classical_moment(f: GridKernel, k: int) -> Scalar:
 
 def require_normalized(f: GridKernel, model: str) -> None:
     """Raise PreconditionError unless the order-p integral of f has unit
-    variance in the given model."""
-    v = variance(symmetrize(f) if model == "classical" else f, model)
-    if f.mode == "exact":
-        ok = v == 1
+    variance in the given model.  The classical variance p! ||sym f||^2 is
+    formed only when log2 p! and the bit lengths of ||sym f||^2 come within
+    2 bits of cancelling: p! alone takes seconds at p = 10^6."""
+    v = None
+    if model == "classical":
+        f = symmetrize(f)
+        norm = l2_norm_sq(f)
+        q = Fraction(norm) if 0 < norm < math.inf else Fraction(0)
+        bits = q.numerator.bit_length() - q.denominator.bit_length()  # log2 q +- 1
+        if q and abs(bits + math.lgamma(f.order + 1) / math.log(2)) <= 2:
+            v = variance(f, model)
     else:
-        ok = abs(v - 1.0) <= _NORMALIZATION_RTOL
-    if not ok:
+        v = variance(f, model)
+    if v is None or not (v == 1 if f.mode == "exact" else abs(v - 1.0) <= _NORMALIZATION_RTOL):
         label = "p! ||sym(f)||^2" if model == "classical" else "<f, f*>"
+        shown = f"{f.order}! * {_brief(norm)}" if v is None else _brief(v)
         raise PreconditionError(
             f"kernel is not variance-normalized for the {model} model: "
-            f"{label} = {_brief(v)}; call normalize_variance first"
+            f"{label} = {shown}; call normalize_variance first"
         )
 
 
@@ -557,8 +547,7 @@ def _gauss_polynomial(f: GridKernel) -> dict:
     return {e: c for e, c in poly.items() if c != 0}
 
 
-def wick_oracle_moment(f: GridKernel, k: int, *, var_cap: int = WICK_VARIABLE_CAP,
-                       degree_cap: int = WICK_DEGREE_CAP) -> Scalar:
+def wick_oracle_moment(f: GridKernel, k: int) -> Scalar:
     """E[F^k] computed with no contraction machinery at all: F is written
     exactly as a polynomial in m independent standard normals via the
     Hermite product rule, raised to the k-th power symbolically, and
@@ -573,15 +562,16 @@ def wick_oracle_moment(f: GridKernel, k: int, *, var_cap: int = WICK_VARIABLE_CA
     if not is_symmetric(f):
         raise PreconditionError("the Wick oracle requires a symmetric kernel")
     p, m = f.order, f.resolution
-    if m > var_cap:
+    if m > WICK_VARIABLE_CAP:
         raise BudgetExceededError(
-            p, m, var_cap,
-            f"Wick oracle capped at {var_cap} Gaussian variables, kernel has {m}",
+            p, m, WICK_VARIABLE_CAP,
+            f"Wick oracle capped at {WICK_VARIABLE_CAP} Gaussian variables, "
+            f"kernel has {m}",
         )
-    if k * p > degree_cap:
+    if k * p > WICK_DEGREE_CAP:
         raise BudgetExceededError(
-            k * p, k * p, degree_cap,
-            f"Wick oracle capped at polynomial degree {degree_cap}, need {k * p}",
+            k * p, k * p, WICK_DEGREE_CAP,
+            f"Wick oracle capped at polynomial degree {WICK_DEGREE_CAP}, need {k * p}",
         )
     if p == 0:
         return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)

@@ -7,6 +7,7 @@ from chaoskit.combinatorics import (
     ContractionTuple,
     catalan,
     classical_coeff,
+    classical_coeff_seq,
     count_C,
     double_factorial,
     dyck_check,
@@ -15,9 +16,13 @@ from chaoskit.combinatorics import (
     gaussian_moment,
     limit_value,
     limit_weight,
+    rank_steps,
+    rank_tree,
     semicircle_moment,
 )
 from chaoskit.errors import InvalidInputError
+from chaoskit.kernels import constant_kernel
+from chaoskit.moments import chain_values
 
 
 def test_enumerate_c_p2_k4():
@@ -182,3 +187,59 @@ def test_k2_degenerate():
     for p in (1, 2, 3):
         ts = enumerate_tuples(p, 2, "B")
         assert [t.r for t in ts] == [(p,)]
+
+
+def _brute_class(p, k, cls):
+    """Every rank sequence in {0..p}^(k-1), lexicographic, filtered by the
+    class definitions of the module docstring."""
+    out = []
+    for r in product(range(p + 1), repeat=k - 1):
+        order, in_a = p, True
+        for rj in r:
+            in_a = in_a and rj <= order
+            order += p - 2 * rj
+        in_c = all(rj in (0, p) for rj in r)
+        closed = in_a and order == 0
+        if {"A": in_a, "B": closed, "C": closed and in_c, "E": closed and not in_c}[cls]:
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("cls", ["A", "B", "C", "E"])
+def test_rank_tree_matches_brute_force(cls):
+    for p in (1, 2, 3):
+        for k in range(2, 8):
+            tree = rank_tree(p, k, cls)
+            assert [r for r, _ in tree] == _brute_class(p, k, cls), (p, k)
+            assert [w for _, w in tree] == [classical_coeff_seq(p, r) for r, _ in tree]
+
+
+def test_rank_steps_tables():
+    # p = 2, k = 4, class B, weights r! C(2, r) C(o, r); a rank 2 from
+    # order 2 at the second step is cut, since one step cannot close order 0
+    assert rank_steps(2, 4, "B") == [
+        {2: [(0, 1), (1, 4), (2, 2)]},
+        {0: [(0, 1)], 2: [(1, 4)], 4: [(2, 12)]},
+        {2: [(2, 2)]},
+    ]
+    # every listed rank leads to an order that the next table lists ranks for
+    for p, k, cls in product((1, 2, 3, 4), range(2, 10), "ABC"):
+        tables = rank_steps(p, k, cls)
+        for table, after in zip(tables, tables[1:]):
+            for order, ranks in table.items():
+                assert all(after[order + p - 2 * r] for r, _ in ranks), (p, k, cls)
+    assert rank_steps(2, 4, "C")[0] == {2: [(0, 1), (2, 2)]}
+    with pytest.raises(InvalidInputError):
+        rank_steps(2, 1, "B")
+    with pytest.raises(InvalidInputError):
+        rank_tree(2, 4, "X")
+
+
+@pytest.mark.parametrize("model", ["classical", "free"])
+def test_chain_values_keys_are_the_rank_tree(model):
+    for p in (1, 2, 3):
+        f = constant_kernel(p, 2)
+        for k in range(2, 6):
+            for cls in "BCE":
+                tuples = [r for r, _ in rank_tree(p, k, cls)]
+                assert list(chain_values(f, k, model, cls)) == tuples, (p, k, cls)

@@ -33,6 +33,7 @@ from chaoskit.moments import (
     fourth_moment_gap,
     free_fourth_identity,
     free_moment,
+    is_normalized,
     symmetrized_square_identity,
     wick_oracle_moment,
 )
@@ -232,6 +233,29 @@ def test_classical_fourth_identity_values(pair_kernel):
 def test_identity_requires_normalization():
     with pytest.raises(PreconditionError):
         classical_fourth_identity(constant_kernel(2, 1))
+
+
+def test_normalization_check_forms_no_large_factorial(monkeypatch):
+    # log2 p! against the bit lengths of ||sym f||^2 settles a large order
+    # without p!, which takes seconds at p = 10^6
+    factorial = math.factorial
+
+    def small_only(n):
+        assert n <= 10**4, f"{n}! formed"
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", small_only)
+    for mode in ("exact", "float"):
+        for coeff in (Fraction(1, 2), 0):
+            f = new_kernel(10**6, 1, [coeff], mode=mode)
+            assert not is_normalized(f, "classical")
+    with pytest.raises(PreconditionError, match=r"1000000! \* 1/4"):
+        classical_fourth_identity(new_kernel(10**6, 1, [Fraction(1, 2)]))
+    # near cancellation p! is formed and the comparison stays exact
+    for p, mode in ((200, "exact"), (100, "float")):
+        f = normalize_variance(new_kernel(p, 1, [1], mode=mode), "classical")
+        assert is_normalized(f, "classical")
+        assert not is_normalized(new_kernel(p, 1, [1], mode=mode), "classical")
 
 
 def test_fourth_identities_on_random_kernels(rng):

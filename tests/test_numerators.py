@@ -95,10 +95,17 @@ def test_tensor_product_overflow_falls_back(rng):
     assert out.dtype == object and out.tolist() == want
 
 
+def test_single_entry_factor_stays_positive():
+    # np.gcd.reduce of a one-entry array is the entry itself, sign included
+    neg = new_kernel(0, 1, [-(2**70)])
+    assert neg.factor > 0
+    assert neg == scale(new_kernel(0, 1, [2**70]), -1)
+    assert new_kernel(0, 1, [-3]).factor == 3
+
+
 def test_multi_contract_raw_sums_overflow_falls_back(rng):
     f, g, h = big_kernel(rng, 3, 2), big_kernel(rng, 2, 2), big_kernel(rng, 1, 2)
-    arr, order = multi_contract(f.nums, 3, [(g.nums, 2, 1), (h.nums, 1, 1)], 2,
-                                measure=False)
+    arr, order = multi_contract(f.nums, 3, [(g.nums, 2, 1), (h.nums, 1, 1)], 2)
     assert order == 2 and arr.dtype == object
     # the same two contractions one after the other by brute force; the raw
     # sums leave out the measure factor 1/m^2
