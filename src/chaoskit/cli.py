@@ -12,6 +12,7 @@ precondition violated, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import io
 import json
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import combinatorics as comb
-from .config import entry_budget, set_entry_budget, set_thread_count, thread_override
+from .config import set_entry_budget, set_thread_count
 from .errors import (
     BudgetExceededError,
     ChaosKitError,
@@ -452,18 +453,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Apply --budget and --threads, then run the command; `main` calls this
+    in a copied context, so both settings end with the command."""
+    if args.budget is not None:
+        set_entry_budget(args.budget)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
+        set_thread_count(args.threads)
+    return args.func(args)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    old_budget, old_threads = entry_budget(), thread_override()
     try:
-        if args.budget is not None:
-            set_entry_budget(args.budget)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
-            set_thread_count(args.threads)
-        return args.func(args)
+        return contextvars.copy_context().run(_run, args)
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -476,9 +482,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ChaosKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        set_entry_budget(old_budget)
-        set_thread_count(old_threads)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ The rule for which rank may follow from which running order lives here
 once, in `rank_steps`, together with the classical step weight
 r! C(p, r) C(o, r).  `rank_tree` grows every tuple of a class with its
 weight from that table; `enumerate_tuples`, the `index-sets` command and
-the moment walk in moments.py all iterate it.  `ContractionTuple` checks
-each tuple against the definitions above without using the rule.
+the moment walk in moments.py all iterate it.  `rank_tree` counts the class
+from the same table first and refuses more tuples than the entry budget.
+`ContractionTuple` checks each tuple against the definitions above without
+using the rule.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import InvalidInputError
+from .config import entry_budget
+from .errors import BudgetExceededError, InvalidInputError
 
 CLASSES = ("A", "B", "C", "E")
 
@@ -114,10 +117,32 @@ def rank_steps(p: int, k: int, cls: str) -> list[dict[int, list[tuple[int, int]]
     return tables
 
 
+def _class_size(p: int, k: int, cls: str) -> int:
+    """The number of tuples of one class, counted level by level from
+    `rank_steps` without building them; E is B minus C."""
+    if cls == "E":
+        return _class_size(p, k, "B") - _class_size(p, k, "C")
+    counts = {p: 1}
+    for table in rank_steps(p, k, cls):
+        nxt: dict[int, int] = {}
+        for order, n in counts.items():
+            for r, _ in table[order]:
+                reached = order + p - 2 * r
+                nxt[reached] = nxt.get(reached, 0) + n
+        counts = nxt
+    return sum(counts.values())
+
+
 def rank_tree(p: int, k: int, cls: str) -> list[tuple[tuple[int, ...], int]]:
     """Every tuple of one class with its classical weight
     prod_j r_j! C(p, r_j) C(o_{j-1}, r_j), in lexicographic order, grown
-    level by level from `rank_steps`."""
+    level by level from `rank_steps`.  Raises BudgetExceededError when the
+    class has more tuples than the entry budget."""
+    size, cap = _class_size(p, k, cls), entry_budget()
+    if size > cap:
+        raise BudgetExceededError(
+            k, size, cap, f"class {cls} at p={p}, k={k} has {size} rank tuples, "
+            f"exceeding the budget of {cap}")
     level = [((), 1, p)]
     for table in rank_steps(p, k, cls):
         level = [

@@ -1,15 +1,21 @@
-"""Process-wide knobs: the dense-tensor entry budget and the thread cap.
+"""Scoped knobs: the dense-tensor entry budget and the thread cap.
 
 Intermediate tensors in k-th moment expansions can reach order ~kp/2+p,
 so every routine that materializes a dense array checks the budget first
 and fails loudly instead of thrashing memory.  numpy's cap on the number
 of array axes is a second, fixed size limit (`check_axes`).
+
+Both knobs are context variables: a setting holds in the context that made
+it, `budget()` undoes exactly its own, and new threads start from the
+defaults.  The CLI runs each command in a copied context, so `--budget` and
+`--threads` end with the command.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar, Token
 
 import numpy as np
 
@@ -20,31 +26,30 @@ DEFAULT_ENTRY_BUDGET = 10_000_000
 # numpy's maximum number of array dimensions (NPY_MAXDIMS)
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
-_entry_budget = DEFAULT_ENTRY_BUDGET
-_thread_count: int | None = None
+_entry_budget: ContextVar[int] = ContextVar("entry_budget", default=DEFAULT_ENTRY_BUDGET)
+_thread_count: ContextVar[int | None] = ContextVar("thread_count", default=None)
 
 
 def entry_budget() -> int:
-    return _entry_budget
+    return _entry_budget.get()
 
 
-def set_entry_budget(n: int) -> None:
-    global _entry_budget
+def set_entry_budget(n: int) -> Token:
+    """Set the entry budget in the current context; the returned token
+    resets it."""
     if n < 1:
         raise InvalidInputError(f"entry budget must be positive, got {n}")
-    _entry_budget = int(n)
+    return _entry_budget.set(int(n))
 
 
 @contextmanager
 def budget(n: int):
     """Temporarily override the entry budget."""
-    global _entry_budget
-    old = _entry_budget
-    set_entry_budget(n)
+    token = set_entry_budget(n)
     try:
         yield
     finally:
-        _entry_budget = old
+        _entry_budget.reset(token)
 
 
 def check_entries(m: int, order: int, rows: int = 1) -> int:
@@ -54,13 +59,14 @@ def check_entries(m: int, order: int, rows: int = 1) -> int:
     power already passes the budget, so a huge order never builds a huge
     int, and the error reports the capped product as a lower bound.
     """
-    capped = min(order, _entry_budget.bit_length())
+    cap = _entry_budget.get()
+    capped = min(order, cap.bit_length())
     entries = rows * m**capped
-    if entries > _entry_budget:
+    if entries > cap:
         raise BudgetExceededError(
-            order, entries, _entry_budget,
+            order, entries, cap,
             f"tensor of order {order} needs {'at least ' if capped < order else ''}"
-            f"{entries} entries, exceeding the budget of {_entry_budget}",
+            f"{entries} entries, exceeding the budget of {cap}",
         )
     return entries
 
@@ -79,8 +85,9 @@ def check_axes(m: int, order: int) -> tuple[int, ...]:
 
 def thread_count() -> int:
     """Worker cap for parallel sections; CHAOSKIT_THREADS is the fallback."""
-    if _thread_count is not None:
-        return _thread_count
+    override = _thread_count.get()
+    if override is not None:
+        return override
     env = os.environ.get("CHAOSKIT_THREADS", "")
     try:
         return max(1, int(env))
@@ -90,9 +97,8 @@ def thread_count() -> int:
 
 def thread_override() -> int | None:
     """The cap set by set_thread_count, or None when CHAOSKIT_THREADS rules."""
-    return _thread_count
+    return _thread_count.get()
 
 
 def set_thread_count(n: int | None) -> None:
-    global _thread_count
-    _thread_count = None if n is None else max(1, int(n))
+    _thread_count.set(None if n is None else max(1, int(n)))

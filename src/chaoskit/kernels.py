@@ -28,6 +28,10 @@ package runs the same numpy calls on either.
     ``nums`` holds the binary64 coefficients and ``factor`` is 1; scales are
     folded into the coefficients at construction time and ``scale_sq`` is
     identically 1.
+
+Cells are decoded here once: `_orbits` groups them by index multiset,
+and symmetrization, the diagonal mask and `_cell_plan` (the Wick
+oracle's and the classical sampler's Hermite form) all read it.
 """
 
 from __future__ import annotations
@@ -181,17 +185,6 @@ def _split(coeffs) -> tuple[np.ndarray, Fraction]:
     return nums, Fraction(1, den)
 
 
-@lru_cache(maxsize=256)
-def _digit_matrix(m: int, p: int) -> np.ndarray:
-    """(m**p, p) matrix of index digits, row-major (last digit fastest)."""
-    idx = np.arange(m**p, dtype=np.int64)
-    digits = np.empty((m**p, p), dtype=np.int64)
-    for j in range(p):
-        digits[:, j] = (idx // m ** (p - 1 - j)) % m
-    digits.setflags(write=False)
-    return digits
-
-
 def _coerce_coeffs(values: Iterable, mode: str) -> np.ndarray:
     values = list(values)
     if mode == "float":
@@ -338,25 +331,36 @@ def l2_norm_sq(f: GridKernel) -> Scalar:
 
 
 @lru_cache(maxsize=256)
-def _multisets(m: int, p: int) -> np.ndarray:
-    """The rows of _digit_matrix sorted: each cell's index multiset."""
-    rows = np.sort(_digit_matrix(m, p), axis=1)
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=256)
-def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Orbit id of every cell under argument permutations (cells with the
-    same index multiset share an id), the size of each orbit, the lcm L of
-    the sizes and the integers L / size."""
-    keys = _multisets(m, p) @ (m ** np.arange(p - 1, -1, -1, dtype=np.int64))
-    _, ids, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray,
+                                     np.ndarray]:
+    """The one cell decoder: cells with the same index multiset form an orbit
+    under argument permutations.  Returns each cell's orbit id, the orbit
+    sizes, their lcm L, the integers L / size and each orbit's sorted
+    multiset.  Orbits are numbered in first-cell order, which is np.unique's
+    order of the base-m multiset keys: a sorted arrangement is its orbit's
+    smallest cell."""
+    powers = m ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    digits = np.sort(np.arange(m**p, dtype=np.int64)[:, None] // powers % m, axis=1)
+    _, first, ids, sizes = np.unique(digits @ powers, return_index=True,
+                                     return_inverse=True, return_counts=True)
     lcm = math.lcm(*sizes.tolist())
     mult = _int_array([lcm // s for s in sizes.tolist()])
-    for arr in (ids, sizes, mult):
+    multisets = digits[first]
+    for arr in (ids, sizes, mult, multisets):
         arr.setflags(write=False)
-    return ids, sizes, lcm, mult
+    return ids, sizes, lcm, mult, multisets
+
+
+def _cell_plan(f: GridKernel) -> list[tuple[np.ndarray, np.ndarray, Scalar]]:
+    """f's cells grouped by orbit: (variables, multiplicities, summed
+    coefficient) for each orbit whose coefficients do not sum to 0, in
+    orbit order and in f's scalar type.  The integral of f is m^(-p/2)
+    times the sum over the plan of coeff * prod_i He_{k_i}(xi_i)."""
+    ids, sizes, _, _, multisets = _orbits(f.resolution, f.order)
+    sums = np.zeros(sizes.size, dtype=f.coeffs.dtype)
+    np.add.at(sums, ids, f.coeffs)
+    return [(*np.unique(multisets[o], return_counts=True), sums[o])
+            for o in np.flatnonzero(sums)]
 
 
 def _sym_array(nums: np.ndarray, factor: Fraction, p: int,
@@ -368,7 +372,7 @@ def _sym_array(nums: np.ndarray, factor: Fraction, p: int,
     reduced."""
     if p <= 1 or m == 1:  # one cell per orbit
         return nums.copy(), factor
-    ids, sizes, lcm, mult = _orbits(m, p)
+    ids, sizes, lcm, mult, _ = _orbits(m, p)
     (nums,) = _widen(lcm, nums)
     if nums.dtype.kind == "f":  # the float path divides before it sums
         nums, factor = _reduce(nums, factor)
@@ -420,8 +424,8 @@ def is_mirror_symmetric(f: GridKernel) -> bool:
 
 def _repeated_digit_mask(m: int, p: int) -> np.ndarray:
     """Flat mask of the cells whose index tuple repeats a digit."""
-    rows = _multisets(m, p)
-    return np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+    ids, *_, multisets = _orbits(m, p)
+    return np.any(multisets[:, 1:] == multisets[:, :-1], axis=1)[ids]
 
 
 def is_off_diagonal(f: GridKernel) -> bool:

@@ -38,10 +38,10 @@ carry a flag, "every rank so far in {0, p}", so one pass yields both the
 C_k and the E_k part of the sum.
 
 `chain_values` returns one value per rank tuple, which merging would lose,
-so it runs the same walk with each rank prefix kept as its own state; its
-cost therefore grows with |B_k|.  The test suite checks the merged sums
-against the per-tuple values, both against literal dense chains, and the
-moments against the product-formula expansion.
+so it folds each tuple of `comb.rank_tree` through the chain steps alone,
+without merging; its cost grows with |B_k|.  The test suite checks the
+merged sums against these per-tuple values, both against literal dense
+chains, and the moments against the product-formula expansion.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ from .kernels import (
     GridKernel,
     Scalar,
     _brief,
+    _cell_plan,
     _content,
-    _digit_matrix,
     _product,
     _reduce,
     _scalar,
@@ -287,48 +287,30 @@ def _chain(f: GridKernel, model: str) -> _Chain:
     raise InvalidInputError(f"unknown model {model!r}")
 
 
-def _walk(chain: _Chain, k: int, classes: str, merge: bool) -> dict:
-    """Walk the rank tree level by level; return {label: raw value}.
-
-    Without merge a state's label is its rank prefix, and the result maps
-    each rank tuple of the class to its chain value.  With merge the label
-    is only whether every rank so far is in {0, p}: prefixes that reach the
-    same block tuple under one label become one term whose weight sums
-    theirs, a classical rank-r step first multiplies the weights by its
-    step weight, and the result maps True/False to the C_k/E_k part of the
-    weighted sum.  The ranks and step weights come from one
-    `comb.rank_steps` table per walk.
-    """
+def _walk(chain: _Chain, k: int, classes: str = "B") -> tuple[Scalar, Scalar]:
+    """Raw C_k and E_k parts of the weighted chain sum over B_k (or C_k):
+    the merged level-by-level walk of the module docstring over one
+    `comb.rank_steps` table, each state labelled by whether every rank so
+    far is in {0, p}."""
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
     p = chain.p
     check_axes(chain.m, p)  # every step reshapes f to one axis per slot
-    weighted = merge and isinstance(chain, _ClassicalChain)
-    levels = {True if merge else (): chain.initial()}
+    weighted = isinstance(chain, _ClassicalChain)
+    levels = {True: chain.initial()}
     for table in comb.rank_steps(p, k, classes):
         nxt: dict = {}
-        for label, terms in levels.items():
+        for in_c, terms in levels.items():
             by_rank: dict[int, dict] = {}
             for ids, w in terms.items():
                 for r, weight in table[chain.order(ids)]:
                     by_rank.setdefault(r, {})[ids] = w * weight if weighted else w
             for r, bucket in by_rank.items():
-                key = label and r in (0, p) if merge else label + (r,)
-                out = nxt.setdefault(key, {})
+                out = nxt.setdefault(in_c and r in (0, p), {})
                 for ids, w in chain.step(bucket, r).items():
                     out[ids] = out.get(ids, chain.zero) + w
         levels = nxt
-    if classes == "E":
-        levels = {
-            t: terms for t, terms in levels.items() if not all(r in (0, p) for r in t)
-        }
-    return {label: chain.finalize(terms) for label, terms in levels.items()}
-
-
-def _class_sums(chain: _Chain, k: int, classes: str = "B") -> tuple[Scalar, Scalar]:
-    """Raw C_k and E_k parts of the weighted chain sum over B_k (or C_k)."""
-    sums = _walk(chain, k, classes, merge=True)
-    return sums.get(True, chain.zero), sums.get(False, chain.zero)
+    return chain.finalize(levels.get(True, {})), chain.finalize(levels.get(False, {}))
 
 
 def chain_values(f: GridKernel, k: int, model: str,
@@ -342,10 +324,16 @@ def chain_values(f: GridKernel, k: int, model: str,
     """
     if classes not in ("B", "C", "E"):
         raise InvalidInputError("chain classes must be 'B', 'C' or 'E'")
-    raw = _walk(_chain(f, model), k, classes, merge=False)
-    return {
-        t: scaled_scalar(v, f.scale_sq, k, f.mode) for t, v in raw.items()
-    }
+    chain = _chain(f, model)
+    tree = comb.rank_tree(chain.p, k, classes)
+    check_axes(chain.m, chain.p)  # every step reshapes f to one axis per slot
+    out = {}
+    for ranks, _ in tree:
+        terms = chain.initial()
+        for r in ranks:
+            terms = chain.step(terms, r)
+        out[ranks] = scaled_scalar(chain.finalize(terms), f.scale_sq, k, f.mode)
+    return out
 
 
 def _formula_moment(f: GridKernel, k: int, model: str) -> Scalar:
@@ -354,7 +342,7 @@ def _formula_moment(f: GridKernel, k: int, model: str) -> Scalar:
     chain = _chain(f, model)
     if k == 1:
         return chain.zero
-    ck, ek = _class_sums(chain, k)
+    ck, ek = _walk(chain, k)
     return scaled_scalar(ck + ek, f.scale_sq, k, f.mode)
 
 
@@ -517,22 +505,14 @@ def _poly_mul(a: dict, b: dict) -> dict:
 
 def _gauss_polynomial(f: GridKernel) -> dict:
     """f's integral as a polynomial in m independent standard normals,
-    WITHOUT the overall m^(-p/2) and scale factors: each ordered nonzero
-    cell with index multiplicities (k_1, ...) contributes
-    a_I * prod_i He_{k_i}(xi_i)."""
+    WITHOUT the overall m^(-p/2) and scale factors: the Hermite product
+    prod_i He_{k_i}(xi_i) of each orbit of `_cell_plan`, times its summed
+    coefficient."""
     m = f.resolution
     poly: dict = {}
-    flat = f.coeffs
-    digits = _digit_matrix(m, f.order)
-    for i in range(flat.size):
-        a = flat[i]
-        if a == 0:
-            continue
-        counts: dict[int, int] = {}
-        for d in digits[i].tolist():
-            counts[d] = counts.get(d, 0) + 1
+    for variables, mults, a in _cell_plan(f):
         cell_poly: dict = {(0,) * m: 1}
-        for var, cnt in counts.items():
+        for var, cnt in zip(variables.tolist(), mults.tolist()):
             hc = _hermite_coeffs(cnt)
             nxt: dict = {}
             for exps, co in cell_poly.items():
@@ -639,14 +619,14 @@ def convergence_report(family: str, n_list, k_max: int, model: str,
             exact_f = family_kernel(family, n=n, model=model, mode="exact")
             exact_chain = _chain(exact_f, model)
         for k in range(2, k_max + 1):
-            c_raw, e_raw = _class_sums(chain, k)
+            c_raw, e_raw = _walk(chain, k)
             moment, ck, ek = (
                 scaled_scalar(v, f.scale_sq, k, mode)
                 for v in (c_raw + e_raw, c_raw, e_raw)
             )
             if exact_chain is not None:
                 ck = scaled_scalar(
-                    _class_sums(exact_chain, k, "C")[0], exact_f.scale_sq, k, "exact"
+                    _walk(exact_chain, k, "C")[0], exact_f.scale_sq, k, "exact"
                 )
             if model == "classical":
                 target = comb.gaussian_moment(k)

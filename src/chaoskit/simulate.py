@@ -1,12 +1,9 @@
 """Monte Carlo verification of the exact moment formulas.
 
 Classical side: integrals of symmetric step kernels are sampled exactly in
-law.  Writing xi_i = sqrt(m) * (B(i/m) - B((i-1)/m)), every ordered nonzero
-cell with index multiplicities (k_1, ...) contributes
-a_I * m^(-p/2) * prod_i He_{k_i}(xi_i) with probabilists' Hermite
-polynomials; off-diagonal kernels degenerate to plain products of
-increments since He_1(x) = x.  Each (variable, degree) column is evaluated
-once per block and shared by every cell that uses it.
+law by evaluating the Hermite form of `kernels._cell_plan` at the scaled
+increments xi_i = sqrt(m) * (B(i/m) - B((i-1)/m)).  Each (variable,
+degree) column is evaluated once per block and shared by every orbit.
 
 Free side: there is no exact sampler, so increments of free Brownian motion
 are approximated by independent N x N GUE matrices whose normalized trace
@@ -47,7 +44,7 @@ from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
-    _multisets,
+    _cell_plan,
     as_float,
     is_mirror_symmetric,
     is_off_diagonal,
@@ -88,25 +85,6 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
 # --- classical sampling -----------------------------------------------------
 
 
-def _cell_plan(f: GridKernel) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Group ordered nonzero cells by variable multiset; each entry is
-    (variables, multiplicities, summed coefficient * m^(-p/2)), listed in
-    the order of each multiset's first cell."""
-    f = as_float(f)
-    p, m = f.order, f.resolution
-    nonzero = np.flatnonzero(f.coeffs)
-    multisets = _multisets(m, p)[nonzero]
-    keys, first, group = np.unique(multisets, axis=0, return_index=True,
-                                   return_inverse=True)
-    sums = np.bincount(group.reshape(-1), weights=f.coeffs[nonzero])
-    norm = m ** (-p / 2.0)
-    out = []
-    for g in np.argsort(first):
-        variables, mults = np.unique(keys[g], return_counts=True)
-        out.append((variables, mults, sums[g] * norm))
-    return out
-
-
 def _hermite_column(x: np.ndarray, degree: int) -> np.ndarray:
     """He_degree(x); degree 1 is x itself (a view, no copy)."""
     if degree == 1:
@@ -116,13 +94,14 @@ def _hermite_column(x: np.ndarray, degree: int) -> np.ndarray:
     return hermite_e.hermeval(x, basis)
 
 
-def _evaluate_plan(plan, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the Hermite cell plan on a (batch, m) matrix of normals.
-    Each (variable, degree) column is computed once per call."""
+def _evaluate_plan(plan, norm: float, xi: np.ndarray) -> np.ndarray:
+    """Evaluate a float kernel's cell plan, times norm = m^(-p/2), on a
+    (batch, m) matrix of normals.  Each (variable, degree) column is
+    computed once per call."""
     total = np.zeros(xi.shape[0])
     columns: dict[tuple[int, int], np.ndarray] = {}
     for variables, mults, coeff in plan:
-        term = np.full(xi.shape[0], coeff)
+        term = np.full(xi.shape[0], coeff * norm)
         for var, cnt in zip(variables.tolist(), mults.tolist()):
             col = columns.get((var, cnt))
             if col is None:
@@ -148,9 +127,9 @@ def sample_classical(f: GridKernel, rng: np.random.Generator) -> float:
     """One exact-in-law draw of the integral of a symmetric step kernel."""
     if not is_symmetric(f):
         raise PreconditionError("classical sampling requires a symmetric kernel")
-    plan = _cell_plan(f)
+    plan = _cell_plan(as_float(f))
     xi = rng.standard_normal((1, f.resolution))
-    return float(_evaluate_plan(plan, xi)[0])
+    return float(_evaluate_plan(plan, f.resolution ** (-f.order / 2.0), xi)[0])
 
 
 def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
@@ -160,8 +139,9 @@ def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
         raise InvalidInputError("moment order k must be >= 1")
     if not is_symmetric(f):
         raise PreconditionError("classical sampling requires a symmetric kernel")
-    plan = _cell_plan(f)
+    plan = _cell_plan(as_float(f))
     m = f.resolution
+    norm = m ** (-f.order / 2.0)
     n = cfg.n_samples
     blocks = [
         (b, min(CLASSICAL_BLOCK, n - b * CLASSICAL_BLOCK))
@@ -172,7 +152,7 @@ def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
         b, rows = args
         rng = derive_rng(cfg.seed, b)
         xi = rng.standard_normal((rows, m))
-        powers = _int_power(_evaluate_plan(plan, xi), k)
+        powers = _int_power(_evaluate_plan(plan, norm, xi), k)
         return np.sum(powers), np.sum(powers * powers)
 
     workers = thread_count()

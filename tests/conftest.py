@@ -74,6 +74,35 @@ def brute_chain(f: GridKernel, ranks, model: str) -> GridKernel:
     return acc
 
 
+def brute_gauss_polynomial(f: GridKernel) -> dict:
+    """f's integral as a polynomial in m standard normals, WITHOUT the
+    m^(-p/2) and scale factors, one ordered cell at a time: cell I with
+    index multiplicities (k_1, ...) contributes a_I * prod_i He_{k_i}(xi_i)."""
+    from chaoskit.moments import _hermite_coeffs
+
+    m = f.resolution
+    poly: dict = {}
+    for a, digits in zip(f.coeffs, product(range(m), repeat=f.order)):
+        if a == 0:
+            continue
+        counts: dict[int, int] = {}
+        for d in digits:
+            counts[d] = counts.get(d, 0) + 1
+        cell_poly: dict = {(0,) * m: 1}
+        for var, cnt in counts.items():
+            nxt: dict = {}
+            for exps, co in cell_poly.items():
+                for e, c in enumerate(_hermite_coeffs(cnt)):
+                    if c == 0:
+                        continue
+                    key = exps[:var] + (exps[var] + e,) + exps[var + 1 :]
+                    nxt[key] = nxt.get(key, 0) + co * c
+            cell_poly = nxt
+        for exps, co in cell_poly.items():
+            poly[exps] = poly.get(exps, 0) + a * co
+    return {e: c for e, c in poly.items() if c != 0}
+
+
 def nonzero(rng, maker, *args, **kwargs) -> GridKernel:
     while True:
         f = maker(rng, *args, **kwargs)

@@ -136,6 +136,24 @@ def test_index_sets_counts(capsys):
     assert parse_csv(out) == []
 
 
+def test_index_sets_past_budget_exits_3_before_enumerating(capsys):
+    # Cat_20 rows: counted from the rank tables, never built
+    code = main(["index-sets", "--p", "2", "--k", "40", "--class", "C"])
+    assert code == 3
+    assert ("class C at p=2, k=40 has 6564120420 rank tuples, exceeding the budget "
+            "of 10000000") in capsys.readouterr().err
+
+
+def test_index_sets_budget_caps_listed_tuples(capsys):
+    code, out = run(capsys, "index-sets", "--p", "2", "--k", "12", "--class", "B")
+    assert code == 0 and len(parse_csv(out)) == 4213
+    code, out = run(capsys, "index-sets", "--p", "2", "--k", "12", "--class", "B",
+                    "--budget", "4213")
+    assert code == 0 and len(parse_csv(out)) == 4213
+    assert main(["index-sets", "--p", "2", "--k", "12", "--class", "B",
+                 "--budget", "4212"]) == 3
+
+
 def test_index_sets_schema_header(capsys):
     _, out = run(capsys, "index-sets", "--p", "2", "--k", "4", "--class", "B")
     assert any("chaoskit.index_sets.v1" in ln for ln in manifest_lines(out))

@@ -20,7 +20,8 @@ from chaoskit.combinatorics import (
     rank_tree,
     semicircle_moment,
 )
-from chaoskit.errors import InvalidInputError
+from chaoskit.config import budget
+from chaoskit.errors import BudgetExceededError, InvalidInputError
 from chaoskit.kernels import constant_kernel
 from chaoskit.moments import chain_values
 
@@ -243,3 +244,17 @@ def test_chain_values_keys_are_the_rank_tree(model):
             for cls in "BCE":
                 tuples = [r for r, _ in rank_tree(p, k, cls)]
                 assert list(chain_values(f, k, model, cls)) == tuples, (p, k, cls)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_rank_tree_refuses_more_tuples_than_the_budget(p):
+    # the count comes from the rank tables (E as B minus C), the list from
+    # rank_tree, so the budget boundary checks one against the other
+    for k in range(2, 9):
+        for cls in "ABCE":
+            n = len(rank_tree(p, k, cls))
+            with budget(max(n, 1)):
+                assert len(rank_tree(p, k, cls)) == n
+            if n > 1:
+                with budget(n - 1), pytest.raises(BudgetExceededError):
+                    rank_tree(p, k, cls)

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from chaoskit.config import budget
 from chaoskit.errors import BudgetExceededError, InvalidInputError, PreconditionError
 from chaoskit.kernels import (
+    _orbits,
     add,
     adjoint,
     as_float,
@@ -308,3 +310,17 @@ def test_refine_preserves_inner(rng):
     f = random_kernel(rng, 2, 2)
     g = random_kernel(rng, 2, 2)
     assert l2_inner(refine(f, 3), refine(g, 3)) == l2_inner(f, g)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_orbits_match_product_decoder(p):
+    for m in (1, 2, 3, 4):
+        numbering: dict[tuple, int] = {}  # sorted multiset -> id, first-cell order
+        ids = [numbering.setdefault(tuple(sorted(cell)), len(numbering))
+               for cell in product(range(m), repeat=p)]
+        sizes = [ids.count(o) for o in range(len(numbering))]
+        got_ids, got_sizes, lcm, mult, multisets = _orbits(m, p)
+        assert got_ids.tolist() == ids, (p, m)
+        assert multisets.tolist() == [list(key) for key in numbering], (p, m)
+        assert got_sizes.tolist() == sizes, (p, m)
+        assert lcm == math.lcm(*sizes) and mult.tolist() == [lcm // s for s in sizes]

@@ -24,6 +24,7 @@ from chaoskit.kernels import (
 )
 from chaoskit.moments import (
     MomentReport,
+    _gauss_polynomial,
     chain_values,
     classical_fourth_identity,
     classical_moment,
@@ -40,7 +41,9 @@ from chaoskit.moments import (
 
 from conftest import (
     brute_chain,
+    brute_gauss_polynomial,
     nonzero,
+    random_kernel,
     random_mirror_kernel,
     random_symmetric_kernel,
 )
@@ -462,3 +465,20 @@ def test_moments_invariant_under_refinement(rng, pair_kernel):
     assert free_moment(refine(f, 2), 4) == free_moment(f, 4)
     g = nonzero(rng, random_symmetric_kernel, 2, 2)
     assert classical_moment(refine(g, 2), 4) == classical_moment(g, 4)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_gauss_polynomial_matches_cell_loop(rng, p, mode):
+    # the oracle's polynomial, one Hermite product per orbit, against the
+    # per-cell loop; the cell plan also serves non-symmetric kernels
+    for m in (1, 2, 3):
+        for f in (random_kernel(rng, p, m, mode), random_symmetric_kernel(rng, p, m, mode)):
+            got, want = _gauss_polynomial(f), brute_gauss_polynomial(f)
+            if mode == "exact":
+                assert got == want, (p, m)
+                continue
+            # float: the orbit sums round differently from the cell-by-cell sums
+            scale = max(map(abs, want.values()), default=0.0)
+            for e in set(got) | set(want):
+                assert abs(got.get(e, 0.0) - want.get(e, 0.0)) <= 8e-16 * scale, (p, m, e)

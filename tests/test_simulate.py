@@ -304,8 +304,7 @@ def _reference_cell_plan(f):
             counts[d] = counts.get(d, 0) + 1
         key = tuple(sorted(counts.items()))
         plan[key] = plan.get(key, 0.0) + a
-    norm = m ** (-p / 2.0)
-    return [([v for v, _ in key], [c for _, c in key], coeff * norm)
+    return [([v for v, _ in key], [c for _, c in key], coeff)
             for key, coeff in plan.items()]
 
 
