@@ -15,8 +15,7 @@ class InvalidInputError(ChaosKitError, ValueError):
 
 
 class BudgetExceededError(ChaosKitError):
-    """A computation would exceed a configured size cap (dense tensor
-    entries, or the Wick-oracle variable/degree caps)."""
+    """A computation would exceed the entry budget or numpy's cap on axes."""
 
     def __init__(self, order: int, entries: int, budget: int, message: str | None = None):
         self.order = order

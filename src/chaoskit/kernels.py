@@ -29,9 +29,9 @@ package runs the same numpy calls on either.
     folded into the coefficients at construction time and ``scale_sq`` is
     identically 1.
 
-Cells are decoded here once: `_orbits` groups them by index multiset,
-and symmetrization, the diagonal mask and `_cell_plan` (the Wick
-oracle's and the classical sampler's Hermite form) all read it.
+Cells are decoded here once: `_orbits` groups them by index multiset;
+symmetrization, the symmetry test, the diagonal mask and `_cell_plan`
+(the Wick oracle's and the sampler's Hermite form) all read it.
 """
 
 from __future__ import annotations
@@ -413,7 +413,13 @@ def adjoint(f: GridKernel) -> GridKernel:
 
 
 def is_symmetric(f: GridKernel) -> bool:
-    return symmetrize(f) == f
+    """f is constant on each orbit of `_orbits`; nothing is symmetrized."""
+    p, m = f.order, f.resolution
+    if p <= 1 or m == 1:  # one cell per orbit
+        return True
+    ids, *_, multisets = _orbits(m, p)
+    first = multisets @ m ** np.arange(p - 1, -1, -1, dtype=np.int64)  # smallest cells
+    return bool(np.array_equal(f.nums, f.nums[first][ids]))
 
 
 def is_mirror_symmetric(f: GridKernel) -> bool:

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import combinatorics as comb
 from .chaos import moment_via_expansion
-from .config import check_axes
+from .config import check_axes, entry_budget
 from .contractions import (
     contract_arrays_free,
     contract_classical,
@@ -88,9 +88,6 @@ from .kernels import (
 )
 
 PATHS = ("formula", "expansion", "oracle", "simulation")
-
-WICK_VARIABLE_CAP = 12
-WICK_DEGREE_CAP = 24
 
 _NORMALIZATION_RTOL = 1e-9
 
@@ -480,18 +477,13 @@ def fourth_moment_gap(f: GridKernel, model: str) -> Scalar:
 
 @lru_cache(maxsize=64)
 def _hermite_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of the probabilists' Hermite polynomial He_n."""
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    prev2, prev1 = _hermite_coeffs(n - 2), _hermite_coeffs(n - 1)
-    out = [0] * (n + 1)
-    for i, c in enumerate(prev1):
-        out[i + 1] += c
-    for i, c in enumerate(prev2):
-        out[i] -= (n - 1) * c
-    return tuple(out)
+    """Coefficients of the probabilists' Hermite polynomial He_n, by
+    iterating He_{j+1} = x He_j - j He_{j-1}."""
+    prev, cur = [], [1]
+    for j in range(n):
+        pairs = itertools.zip_longest([0, *cur], prev, fillvalue=0)
+        prev, cur = cur, [a - j * b for a, b in pairs]
+    return tuple(cur)
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -513,15 +505,10 @@ def _gauss_polynomial(f: GridKernel) -> dict:
     for variables, mults, a in _cell_plan(f):
         cell_poly: dict = {(0,) * m: 1}
         for var, cnt in zip(variables.tolist(), mults.tolist()):
-            hc = _hermite_coeffs(cnt)
-            nxt: dict = {}
-            for exps, co in cell_poly.items():
-                for e, c in enumerate(hc):
-                    if c == 0:
-                        continue
-                    key = exps[:var] + (exps[var] + e,) + exps[var + 1 :]
-                    nxt[key] = nxt.get(key, 0) + co * c
-            cell_poly = nxt
+            # var has exponent 0 in every key so far, so no two keys collide
+            cell_poly = {exps[:var] + (e,) + exps[var + 1 :]: co * c
+                         for exps, co in cell_poly.items()
+                         for e, c in enumerate(_hermite_coeffs(cnt)) if c}
         for exps, co in cell_poly.items():
             poly[exps] = poly.get(exps, 0) + a * co
     return {e: c for e, c in poly.items() if c != 0}
@@ -533,6 +520,12 @@ def wick_oracle_moment(f: GridKernel, k: int) -> Scalar:
     Hermite product rule, raised to the k-th power symbolically, and
     integrated termwise with E[xi^n] = (n-1)!! (0 for odd n).
 
+    Its predicted work, checked against the entry budget before anything is
+    built, counts p^2 + (kp)^2 table entries (He_0..He_p, E[xi^e] for e <= kp),
+    s*p*m exponents written for F's n-term polynomial and t_j*n*m for the j-th
+    of the k products, with s = C(m+p-1, p) 2^(p//2), n = min(C(p+m, m), s),
+    t_0 = 1 and t_j = min(C(jp+m, m), t_{j-1} n) bounding the j-th power.
+
     Exact in exact mode whenever the global factor sqrt(scale_sq^k / m^(kp))
     is rational (always true for even k*p and rational scales); otherwise
     the rational part is computed exactly and the root applied in binary64.
@@ -542,31 +535,37 @@ def wick_oracle_moment(f: GridKernel, k: int) -> Scalar:
     if not is_symmetric(f):
         raise PreconditionError("the Wick oracle requires a symmetric kernel")
     p, m = f.order, f.resolution
-    if m > WICK_VARIABLE_CAP:
-        raise BudgetExceededError(
-            p, m, WICK_VARIABLE_CAP,
-            f"Wick oracle capped at {WICK_VARIABLE_CAP} Gaussian variables, "
-            f"kernel has {m}",
-        )
-    if k * p > WICK_DEGREE_CAP:
-        raise BudgetExceededError(
-            k * p, k * p, WICK_DEGREE_CAP,
-            f"Wick oracle capped at polynomial degree {WICK_DEGREE_CAP}, need {k * p}",
-        )
     if p == 0:
         return scaled_scalar(f.coeffs[0] ** k, f.scale_sq, k, f.mode)
+    cap = entry_budget()
+    work = p * p + (k * p) ** 2  # the He_j and E[xi^e] tables
+    if work <= cap:  # else 2^(p//2) below may be vast
+        split = math.comb(m + p - 1, p) << p // 2  # He_c has c//2+1 <= 2^(c//2) terms
+        n, terms = min(math.comb(p + m, m), split), 1  # bounds on |base| and t_j
+        work += split * p * m  # at most p steps per orbit, m exponents per key
+        for j in range(k):
+            if work > cap:
+                break
+            work += terms * n * m
+            terms = min(math.comb((j + 1) * p + m, m), terms * n)
+    if work > cap:
+        raise BudgetExceededError(
+            k * p, work, cap,
+            f"Wick oracle may write {work} table entries and monomial "
+            f"exponents, exceeding the budget of {cap}",
+        )
     base = _gauss_polynomial(f)
     power = {(0,) * m: 1}
     for _ in range(k):
         power = _poly_mul(power, base)
+    gauss = [comb.gaussian_moment(e) for e in range(k * p + 1)]
     raw = 0
     for exps, co in power.items():
         if any(e % 2 for e in exps):
             continue
         term = co
-        for e in exps:
-            if e:
-                term *= comb.double_factorial(e - 1)
+        for e in filter(None, exps):
+            term *= gauss[e]
         raw += term
     return scaled_scalar(raw, f.scale_sq / m**p, k, f.mode)
 

@@ -123,6 +123,15 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
         x = x * x
 
 
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], in input order, on thread_count() threads."""
+    workers = thread_count()
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def sample_classical(f: GridKernel, rng: np.random.Generator) -> float:
     """One exact-in-law draw of the integral of a symmetric step kernel."""
     if not is_symmetric(f):
@@ -155,12 +164,7 @@ def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
         powers = _int_power(_evaluate_plan(plan, norm, xi), k)
         return np.sum(powers), np.sum(powers * powers)
 
-    workers = thread_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, blocks))
-    else:
-        partials = [run_block(b) for b in blocks]
+    partials = _map(run_block, blocks)
     s1 = float(np.sum([p[0] for p in partials]))
     s2 = float(np.sum([p[1] for p in partials]))
     est = s1 / n
@@ -286,15 +290,7 @@ def mc_free_moment(f: GridKernel, k: int, cfg: SampleConfig,
     def run_draw(i: int) -> float:
         return float(_gue_moments(ff, k, dim, derive_rng(cfg.seed, i))[k - 1])
 
-    indices = range(cfg.n_samples)
-    workers = thread_count()
-    if workers > 1 and cfg.n_samples > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            draws = np.fromiter(pool.map(run_draw, indices), dtype=float,
-                                count=cfg.n_samples)
-    else:
-        draws = np.fromiter((run_draw(i) for i in indices), dtype=float,
-                            count=cfg.n_samples)
+    draws = np.array(_map(run_draw, range(cfg.n_samples)), dtype=float)
     est = float(np.mean(draws))
     stderr = (
         float(np.std(draws, ddof=1) / math.sqrt(cfg.n_samples))

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaoskit.cli import main
 from chaoskit.config import entry_budget, set_thread_count, thread_override
-from chaoskit.kernels import kernel_to_json, new_kernel
+from chaoskit.kernels import kernel_to_json, new_kernel, symmetrize
+from chaoskit.verify import _random_symmetric
 
 
 @pytest.fixture
@@ -288,6 +291,51 @@ def test_main_restores_thread_override(capsys, pair_file):
         assert thread_override() == 3
     finally:
         set_thread_count(None)
+
+
+def test_oracle_answers_what_fits_the_work_bound(capsys, pair_file):
+    code, obj = run_json(capsys, "moment", pair_file, "--k", "100", "--path", "oracle")
+    assert code == 0
+    assert obj["report"]["value"] == f"{math.prod(range(1, 100, 2)) ** 2}/1"
+
+
+def _fail(*args):
+    raise AssertionError("stage ran past the work bound")
+
+
+@pytest.mark.parametrize("p, m, k", [
+    (100000, 1, 1),  # the He_p table alone
+    (1, 2000, 2),  # the square: 2001000 keys of 2000 exponents
+    (1, 100000, 1),  # F's polynomial: 10^5 keys of 10^5 exponents
+    (2, 12, 6),  # a random p = 2, m = 12 kernel
+])
+def test_exit_code_oracle_past_work_bound(capsys, monkeypatch, tmp_path, p, m, k):
+    from chaoskit import moments
+
+    for name in ("_hermite_coeffs", "_gauss_polynomial", "_poly_mul"):
+        monkeypatch.setattr(moments, name, _fail)  # the bound is checked first
+    if m == 12:
+        f = _random_symmetric(np.random.default_rng(4), 2, 12)
+    else:
+        f = new_kernel(p, m, [1.0] * m**p, mode="float" if m > 1 else "exact")
+    path = tmp_path / "kernel.json"
+    path.write_text(kernel_to_json(f, "classical"))
+    code = main(["moment", str(path), "--k", str(k), "--path", "oracle"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error (budget): Wick oracle")
+
+
+def test_symmetrized_float_kernel_file_is_symmetric(capsys, tmp_path):
+    coeffs = np.random.default_rng(11).standard_normal(256).tolist()
+    path = tmp_path / "sym.json"
+    path.write_text(kernel_to_json(
+        symmetrize(new_kernel(4, 4, coeffs, mode="float")), "classical"))
+    code, _ = run(capsys, "moment", str(path), "--k", "2", "--path", "oracle")
+    assert code == 0
+    code, _ = run(capsys, "simulate", str(path), "--k", "2", "--samples", "1000",
+                  "--seed", "1")
+    assert code == 0
 
 
 def test_exit_code_precondition(capsys, tmp_path):

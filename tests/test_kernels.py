@@ -152,6 +152,29 @@ def test_predicates(pair_kernel):
     assert not is_mirror_symmetric(f)
 
 
+def test_is_symmetric_reads_orbits_without_symmetrizing(monkeypatch):
+    from chaoskit import kernels
+
+    rng = np.random.default_rng(11)
+    sym = [
+        symmetrize(new_kernel(p, m, rng.standard_normal(m**p).tolist(), mode="float"))
+        for p in (3, 4) for m in (3, 4)
+    ]
+    # float orbit means are not idempotent, so symmetrize(g) == g can fail
+    assert any(symmetrize(g) != g for g in sym)
+    skew = new_kernel(3, 3, rng.standard_normal(27).tolist(), mode="float")
+
+    def fail(*args):
+        raise AssertionError("is_symmetric must not symmetrize")
+
+    monkeypatch.setattr(kernels, "_sym_array", fail)
+    for g in sym:
+        assert is_symmetric(g)
+        assert is_symmetric(kernel_from_json(kernel_to_json(g))[0])
+    assert not is_symmetric(skew)
+    assert not is_symmetric(new_kernel(3, 2, [0, 1, 0, 0, 0, 0, 0, 0]))
+
+
 def test_off_diagonal_part():
     f = constant_kernel(2, 2)
     g = off_diagonal_part(f)

@@ -290,12 +290,42 @@ def test_wick_oracle_variance_is_isometry(rng):
         assert wick_oracle_moment(f, 2) == math.factorial(f.order) * l2_norm_sq(f)
 
 
-def test_wick_oracle_caps():
-    wide = constant_kernel(1, 13)
-    with pytest.raises(BudgetExceededError):
-        wick_oracle_moment(wide, 2)
-    with pytest.raises(BudgetExceededError):
-        wick_oracle_moment(constant_kernel(3, 2), 9)
+def _fail(*args):
+    raise AssertionError("stage ran past the work bound")
+
+
+def test_wick_oracle_work_bound(monkeypatch, pair_kernel):
+    from chaoskit import moments
+    from chaoskit.combinatorics import double_factorial
+    from chaoskit.config import budget
+
+    # no variable or degree cap: what fits the entry budget answers
+    assert wick_oracle_moment(constant_kernel(1, 13), 2) == 1
+    assert wick_oracle_moment(constant_kernel(3, 2), 9) == 0
+    assert wick_oracle_moment(pair_kernel, 100) == double_factorial(99) ** 2
+    # pair at k = 8: 4 + 256 table entries, 6 * 2 * 2 exponents for F's
+    # polynomial, then 6 * 2 per product from powers of at most
+    # 1, 6, 15, 28, 45, 66, 91, 120 terms
+    work = 260 + 24 + 12 * (1 + 6 + 15 + 28 + 45 + 66 + 91 + 120)
+    with budget(work):
+        assert wick_oracle_moment(pair_kernel, 8) == 105**2
+    # the bound is checked before anything it covers is built
+    for name in ("_hermite_coeffs", "_gauss_polynomial", "_poly_mul"):
+        monkeypatch.setattr(moments, name, _fail)
+    small = random_symmetric_kernel(np.random.default_rng(1), 2, 3)
+    for cap, f in ((work - 1, pair_kernel), (100, pair_kernel), (300, small),
+                   (400, small)):  # at k = 8: all, tables, F, products
+        with budget(cap), pytest.raises(BudgetExceededError):
+            wick_oracle_moment(f, 8)
+    for f, k in (
+        (random_symmetric_kernel(np.random.default_rng(4), 2, 12), 6),
+        (pair_kernel, 10**5),  # the E[xi^e] table up to e = 2 * 10^5
+        (new_kernel(100_000, 1, [1]), 1),  # the He_p table
+        (constant_kernel(1, 2000), 2),  # the square: 2001000 keys of 2000 exponents
+        (constant_kernel(1, 10**5, mode="float"), 1),  # F: 10^5 keys of 10^5
+    ):
+        with pytest.raises(BudgetExceededError):
+            wick_oracle_moment(f, k)
 
 
 def test_wick_oracle_needs_symmetry():
