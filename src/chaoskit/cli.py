@@ -37,6 +37,7 @@ from .errors import (
 from .kernels import (
     GridKernel,
     _frac_str,
+    _too_many_digits,
     as_float,
     as_scalar,
     family_kernel,
@@ -132,7 +133,10 @@ def _cell(value) -> str:
         return repr(value)
     if isinstance(value, (tuple, list)):
         return "|".join(_cell(v) for v in value)
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # only an int past Python's digit cap
+        raise _too_many_digits("integer value") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -145,7 +149,11 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _emit_json(manifest: RunManifest, report: dict, out: Optional[str]) -> None:
     obj = {"manifest": asdict(manifest), "report": _jsonable(report)}
-    _write(json.dumps(obj, indent=2) + "\n", out)
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError as exc:  # only an int past Python's digit cap
+        raise _too_many_digits("integer value") from exc
+    _write(text + "\n", out)
 
 
 def _emit_table(manifest: RunManifest, header: list[str], rows: list[list],

@@ -1,9 +1,10 @@
 """Scoped knobs: the dense-tensor entry budget and the thread cap.
 
 Intermediate tensors in k-th moment expansions can reach order ~kp/2+p,
-so every routine that materializes a dense array checks the budget first
-and fails loudly instead of thrashing memory.  numpy's cap on the number
-of array axes is a second, fixed size limit (`check_axes`).
+so every routine that materializes a dense array, each contraction step
+included, checks the budget first and fails loudly instead of thrashing
+memory.  numpy's cap on array axes is a second, fixed limit (`check_axes`)
+on the order of a kernel reshaped to one axis per slot.
 
 Both knobs are context variables: a setting holds in the context that made
 it, `budget()` undoes exactly its own, and new threads start from the

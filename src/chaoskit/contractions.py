@@ -13,14 +13,15 @@ Both accept general (not necessarily symmetric) kernels: the grid formula
 is well-defined regardless, and iterated moment expansions need the
 intermediate non-symmetric tensors.
 
-The array routines take flat numerator arrays of either numeric mode (exact
-int64 or object-int numerators, or float64 coefficients) and run the same
-numpy calls on both.  They return the raw sums, without the measure factor
-1/m^r: the kernel-level contractions and the chain evaluator fold it into
-the result's rational factor (see kernels.py), so exact contractions never
-form a Fraction per entry.  Integer operands go through `kernels._widen`
-first, which switches them to Python ints when int64 could overflow.
-Everything here is a pure function of immutable inputs.
+Every array routine is one 2-D product over trailing slots (`_dot`): the
+free contraction first moves g's contracted slots last, and the tensor
+product and `multi_contract` fold it, so each intermediate is checked
+against the entry budget before it is built, and its int64 operands become
+Python ints where a sum could overflow (`kernels._widen`).  Only the free
+contraction reshapes a kernel to one axis per slot.  Flat arrays of either
+numeric mode go through the same numpy calls.  The results are raw sums
+without the measure factor 1/m^r, which the kernel-level contractions and
+the chain evaluator fold into a rational factor (see kernels.py).
 """
 
 from __future__ import annotations
@@ -32,39 +33,39 @@ from .errors import InvalidInputError
 from .kernels import GridKernel, _require_compatible, _widen, symmetrize
 
 
+def _dot(fa: np.ndarray, p: int, ga: np.ndarray, q: int, r: int, m: int) -> np.ndarray:
+    """Flat raw sums sum_S f[T1, S] g[T2, S] over the last r slots of both
+    (rows T1, columns T2), checked against the budget before they exist."""
+    check_entries(m, p + q - 2 * r)
+    a, b = _widen(m**r, fa.reshape(-1, m**r), ga.reshape(-1, m**r))
+    return np.dot(a, b.T).reshape(-1)
+
+
 def contract_arrays_classical(fa: np.ndarray, p: int, ga: np.ndarray, q: int,
                               r: int, m: int) -> np.ndarray:
     """Flat array of the classical contraction sums (no measure factor)."""
-    check_entries(m, p + q - 2 * r)
-    a, b = _widen(m**r, fa.reshape(m ** (p - r), m**r), ga.reshape(m ** (q - r), m**r))
-    return np.dot(a, b.T).reshape(-1)
+    return _dot(fa, p, ga, q, r, m)
 
 
 def contract_arrays_free(fa: np.ndarray, p: int, ga: np.ndarray, q: int,
                          r: int, m: int) -> np.ndarray:
     """Flat array of the free contraction sums (no measure factor)."""
-    check_entries(m, p + q - 2 * r)
-    a = fa.reshape(m ** (p - r), m**r)
-    if r == 0:
-        b = ga.reshape(1, -1)
-    else:
+    if r > 1:
         # g's axis 0 holds s_r, ..., axis r-1 holds s_1: reverse so the
         # flattened contracted index matches f's (s_1 slowest).
         perm = tuple(reversed(range(r))) + tuple(range(r, q))
-        b = ga.reshape(check_axes(m, q)).transpose(perm).reshape(m**r, m ** (q - r))
-    a, b = _widen(m**r, a, b)
-    return np.dot(a, b).reshape(-1)
+        ga = ga.reshape(check_axes(m, q)).transpose(perm)
+    # _dot transposes this view back: np.dot sees the (m^r, m^(q-r)) operand
+    return _dot(fa, p, ga.reshape(m**r, -1).T, q, r, m)
 
 
 def tensor_product_arrays(arrs: list[np.ndarray], orders: list[int],
                           m: int) -> np.ndarray:
     """Flat array of arrs[0] ox arrs[1] ox ... (slot order preserved)."""
-    total = sum(orders)
-    check_entries(m, total)
-    arrs = _widen(1, *arrs)
-    out = arrs[0].reshape(-1)
-    for nxt in arrs[1:]:
-        out = (out[:, None] * nxt.reshape(-1)[None, :]).reshape(-1)
+    out, order = arrs[0].reshape(-1), orders[0]
+    for nxt, o in zip(arrs[1:], orders[1:]):
+        out = _dot(out, order, nxt, o, 0, m)
+        order += o
     return out
 
 
@@ -76,23 +77,15 @@ def multi_contract(core: np.ndarray, p: int, parts: list[tuple[np.ndarray, int, 
     part i gives its last r_i slots to r_i distinct slots of the core.
     Returns (flat array of raw sums, order), without the measure factor
     1/m^(sum r_i); slot order is [parts reversed free slots..., core free
-    slots], which callers symmetrize anyway.
+    slots], which callers symmetrize anyway.  Each part is one budgeted `_dot`.
     """
-    used = sum(r for _, _, r in parts)
-    if used > p:
+    if sum(r for _, _, r in parts) > p:
         raise InvalidInputError("multi_contract: parts over-consume the core")
-    out_order = p + sum(o - r for _, o, r in parts) - used
-    check_entries(m, out_order)
-    core, *arrs = _widen(m**used, core, *(arr for arr, _, _ in parts))
-    x = core.reshape(check_axes(m, p))
-    for arr, (_, o, r) in zip(arrs, parts):
-        g = arr.reshape(check_axes(m, o))
-        check_axes(m, o + x.ndim - 2 * r)  # axes of the tensordot result
-        axes_g = list(range(o - r, o))
-        axes_x = list(range(x.ndim - r, x.ndim))
-        x = np.tensordot(g, x, axes=(axes_g, axes_x))
-    # a full contraction leaves a bare scalar; reshape makes it length 1
-    return np.reshape(x, -1), out_order
+    out, order = core.reshape(-1), p
+    for arr, o, r in parts:
+        out = _dot(arr, o, out, order, r, m)
+        order += o - 2 * r
+    return out, order
 
 
 def _contract(contract_arrays, f: GridKernel, g: GridKernel, r: int) -> GridKernel:
@@ -104,14 +97,8 @@ def _contract(contract_arrays, f: GridKernel, g: GridKernel, r: int) -> GridKern
         )
     m = f.resolution
     arr = contract_arrays(f.nums, f.order, g.nums, g.order, r, m)
-    return GridKernel(
-        f.order + g.order - 2 * r,
-        m,
-        f.mode,
-        arr,
-        f.scale_sq * g.scale_sq,
-        f.factor * g.factor / m**r,
-    )
+    return GridKernel(f.order + g.order - 2 * r, m, f.mode, arr,
+                      f.scale_sq * g.scale_sq, f.factor * g.factor / m**r)
 
 
 def contract_classical(f: GridKernel, g: GridKernel, r: int) -> GridKernel:

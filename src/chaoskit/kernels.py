@@ -596,17 +596,19 @@ def family_kernel(name: str, *, n: int | None = None, p: int | None = None,
 #  "scale_sq": "num/den"}                     # optional, exact mode only
 
 
+def _too_many_digits(what: str, hint: str = "") -> BudgetExceededError:
+    """The error for a value past Python's cap on the digits of an int in text."""
+    cap = sys.get_int_max_str_digits()
+    return BudgetExceededError(0, 0, cap, f"{what} has more than {cap} digits, "
+                               f"Python's cap for an int in text{hint}")
+
+
 def _frac_str(q: Fraction) -> str:
-    """num/den text; a value past Python's cap on the digits of an int in
-    text is an oversize result."""
+    """num/den text; past the digit cap, an oversize result."""
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError as exc:
-        cap = sys.get_int_max_str_digits()
-        raise BudgetExceededError(
-            0, 0, cap, f"exact value has more than {cap} digits, Python's cap for "
-            "an int in text; use float mode"
-        ) from exc
+        raise _too_many_digits("exact value", "; use float mode") from exc
 
 
 def _brief(q: Scalar) -> str:

@@ -292,7 +292,7 @@ def _walk(chain: _Chain, k: int, classes: str = "B") -> tuple[Scalar, Scalar]:
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
     p = chain.p
-    check_axes(chain.m, p)  # every step reshapes f to one axis per slot
+    check_axes(chain.m, p)  # free steps reshape f per slot; bounds p before p!
     weighted = isinstance(chain, _ClassicalChain)
     levels = {True: chain.initial()}
     for table in comb.rank_steps(p, k, classes):
@@ -322,8 +322,8 @@ def chain_values(f: GridKernel, k: int, model: str,
     if classes not in ("B", "C", "E"):
         raise InvalidInputError("chain classes must be 'B', 'C' or 'E'")
     chain = _chain(f, model)
+    check_axes(chain.m, chain.p)  # as in _walk, before the rank tree forms p!
     tree = comb.rank_tree(chain.p, k, classes)
-    check_axes(chain.m, chain.p)  # every step reshapes f to one axis per slot
     out = {}
     for ranks, _ in tree:
         terms = chain.initial()

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chaoskit.chaos import moment_via_expansion
 from chaoskit.cli import main
 from chaoskit.config import entry_budget, set_thread_count, thread_override
 from chaoskit.kernels import kernel_to_json, new_kernel, symmetrize
+from chaoskit.moments import classical_moment, wick_oracle_moment
 from chaoskit.verify import _random_symmetric
 
 
@@ -157,6 +159,21 @@ def test_index_sets_budget_caps_listed_tuples(capsys):
                  "--budget", "4212"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "2000", "--k", "2", "--class", "B"],
+    ["--p", "2000", "--k", "2", "--class", "B", "--json"],
+    ["--p", "1500", "--k", "4", "--class", "C"],
+])
+def test_index_sets_weight_past_digit_cap_exits_3(capsys, argv):
+    # r! C(p, r)^2 at r near p/2 passes Python's 4300-digit cap for an int
+    # in text, in a CSV cell or a JSON number
+    code = main(["index-sets", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error (budget): integer value has more than")
+    assert "float mode" not in captured.err
+
+
 def test_index_sets_schema_header(capsys):
     _, out = run(capsys, "index-sets", "--p", "2", "--k", "4", "--class", "B")
     assert any("chaoskit.index_sets.v1" in ln for ln in manifest_lines(out))
@@ -241,7 +258,6 @@ def test_exit_code_budget(capsys, pair_file):
     (10**12, "float", "classical", 2, "entries"),  # an order past the budget
     (100000, "float", "classical", 2, "axes"),
     (70, "exact", "free", 2, "axes"),
-    (32, "float", "classical", 6, "axes"),  # a block of order 92
 ])
 def test_exit_code_order_past_axis_cap(capsys, tmp_path, p, mode, model, k, reason):
     d = {"model": model, "p": p, "m": 1, "mode": mode, "coeffs": [1]}
@@ -251,6 +267,20 @@ def test_exit_code_order_past_axis_cap(capsys, tmp_path, p, mode, model, k, reas
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error (budget):") and reason in err
+
+
+def test_classical_blocks_past_axis_cap_answer_on_every_path(capsys, tmp_path):
+    # at p = 32, k = 6 the classical chain builds a block of order 92; only
+    # the kernel's own order needs one numpy axis per slot
+    d = {"model": "classical", "p": 32, "m": 1, "mode": "float", "coeffs": [1]}
+    path = tmp_path / "p32.json"
+    path.write_text(json.dumps(d))
+    code, obj = run_json(capsys, "moment", str(path), "--k", "6")
+    f = new_kernel(32, 1, [1])
+    want = Fraction(classical_moment(f, 6))
+    assert want == Fraction(wick_oracle_moment(f, 6))
+    assert want == Fraction(moment_via_expansion(f, 6, "classical"))
+    assert code == 0 and math.isclose(obj["report"]["value"], float(want), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("field, value", [

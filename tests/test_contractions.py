@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaoskit.errors import InvalidInputError
+from chaoskit.config import budget
+from chaoskit.errors import BudgetExceededError, InvalidInputError
 from chaoskit.kernels import (
     adjoint,
     as_float,
@@ -169,6 +170,30 @@ def test_multi_contract_full_contraction_keeps_mode(pair_kernel):
     arr, order = multi_contract(ff.coeffs, 2, [(ff.coeffs, 2, 2)], 2)
     assert order == 0 and arr.shape == (1,) and arr.dtype == np.float64
     assert arr[0] / 2**2 == 0.5
+
+
+def test_multi_contract_checks_every_intermediate(monkeypatch):
+    # an order-3 core with parts of order 4 (r = 1) and 3 (r = 2) at m = 2:
+    # the result has order 4 (16 entries), the first step order 5 (32)
+    rng = np.random.default_rng(0)
+    core, a, b = (rng.integers(-3, 4, 2**o) for o in (3, 4, 3))
+    parts = [(a, 4, 1), (b, 3, 2)]
+    x = np.einsum("abck,ijk->abcij", a.reshape((2,) * 4), core.reshape((2,) * 3))
+    want = np.einsum("eij,abcij->eabc", b.reshape((2,) * 3), x).reshape(-1)
+    built = []
+    dot = np.dot
+
+    def counted_dot(x, y):
+        built.append(x.shape[0] * y.shape[1])
+        return dot(x, y)
+
+    monkeypatch.setattr(np, "dot", counted_dot)
+    with budget(16), pytest.raises(BudgetExceededError, match="order 5 needs 32"):
+        multi_contract(core, 3, parts, 2)
+    assert built == []
+    with budget(32):
+        arr, order = multi_contract(core, 3, parts, 2)
+    assert order == 4 and built == [32, 16] and arr.tolist() == want.tolist()
 
 
 def test_multi_contract_overconsumption(pair_kernel):

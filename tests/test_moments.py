@@ -208,6 +208,21 @@ def test_orders_near_numpy_axis_cap():
     assert moment_via_expansion(constant_kernel(p, 1), 4, "classical") == expect
 
 
+def test_chain_values_checks_the_order_before_the_rank_tree(monkeypatch):
+    # the rank tree forms p!, which takes seconds at p = 10^6; the axis check
+    # refuses such an order first
+    from chaoskit import combinatorics
+
+    def no_tree(*args):
+        raise AssertionError("rank tree built before the order check")
+
+    monkeypatch.setattr(combinatorics, "rank_tree", no_tree)
+    f = new_kernel(10**6, 1, [1.0], mode="float")
+    for model in ("classical", "free"):
+        with pytest.raises(BudgetExceededError, match="axes"):
+            chain_values(f, 2, model)
+
+
 def test_classical_third_moment_second_chaos():
     # E[(xi^2 - 1)^3] = 8: B_3(p=2) is nonempty
     assert classical_moment(constant_kernel(2, 1), 3) == 8

@@ -114,6 +114,21 @@ def test_multi_contract_raw_sums_overflow_falls_back(rng):
     assert [int(x) * factor for x in arr] == list(ref.coeffs)
 
 
+def test_multi_contract_widens_mid_fold(rng):
+    # the first step's sums fit int64 and stay there; the second step's
+    # operands could overflow, so that step alone runs on Python ints
+    f = new_kernel(3, 2, [int(x) for x in rng.integers(-(2**20), 2**20, 8)])
+    g = new_kernel(2, 2, [int(x) + 2**40 for x in rng.integers(-(2**20), 2**20, 4)])
+    h = new_kernel(1, 2, [2**20 + 1, -(2**20) + 3])
+    first = contract_arrays_classical(g.nums, 2, f.nums, 3, 1, 2)
+    assert first.dtype == np.int64 and f.nums.dtype == h.nums.dtype == np.int64
+    arr, order = multi_contract(f.nums, 3, [(g.nums, 2, 1), (h.nums, 1, 1)], 2)
+    assert order == 2 and arr.dtype == object
+    ref = brute_contract_classical(h, brute_contract_classical(g, f, 1), 1)
+    factor = f.factor * g.factor * h.factor / 4
+    assert [int(x) * factor for x in arr] == list(ref.coeffs)
+
+
 def test_symmetrization_accumulate_overflow_falls_back(rng):
     for p, m in ((2, 3), (3, 2), (4, 2)):
         f = big_kernel(rng, p, m)
