@@ -53,8 +53,9 @@ def budget(n: int):
         _entry_budget.reset(token)
 
 
-def check_entries(m: int, order: int, rows: int = 1) -> int:
-    """Return rows * m**order after verifying it fits in the budget.
+def check_entries(m: int, order: int, rows: int = 1, what: str | None = None) -> int:
+    """Return rows * m**order after verifying it fits in the budget; the
+    error names `what` (default: the tensor of that order).
 
     The power is capped at the budget's bit length: for m >= 2 that capped
     power already passes the budget, so a huge order never builds a huge
@@ -66,7 +67,8 @@ def check_entries(m: int, order: int, rows: int = 1) -> int:
     if entries > cap:
         raise BudgetExceededError(
             order, entries, cap,
-            f"tensor of order {order} needs {'at least ' if capped < order else ''}"
+            f"{what or f'tensor of order {order}'} needs "
+            f"{'at least ' if capped < order else ''}"
             f"{entries} entries, exceeding the budget of {cap}",
         )
     return entries

@@ -134,8 +134,15 @@ def _widen(inner: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _times(x, factor: Fraction):
     """A float scalar or array times a rational factor; dividing by an
-    integer denominator rounds once, as the plain division did."""
-    return x / factor.denominator if factor.numerator == 1 else x * float(factor)
+    integer denominator rounds once, as the plain division did.  A factor
+    past binary64 is +-inf, as in `as_scalar`, and zeros stay zero."""
+    try:
+        return x / factor.denominator if factor.numerator == 1 else x * float(factor)
+    except OverflowError:  # the denominator or the factor passes binary64
+        if factor.numerator == 1:
+            return x * float(factor)  # 1/d rounds to 0 or a subnormal
+    sign = 1.0 if factor > 0 else -1.0  # x * inf would turn zeros into nan
+    return np.where(x == 0, 0.0, np.copysign(math.inf, x) * sign)[()]
 
 
 def _reduce(nums: np.ndarray, factor: Fraction) -> tuple[np.ndarray, Fraction]:
@@ -533,6 +540,8 @@ def normalize_variance(f: GridKernel, model: str) -> GridKernel:
     if model == "classical":
         f = symmetrize(f)
     v = variance(f, model)
+    if f.mode == "float" and not math.isfinite(v):
+        raise InvalidInputError("the variance passes the binary64 range; use exact mode")
     if model == "classical" and v == 0:
         raise PreconditionError("cannot normalize: symmetrization vanishes")
     if model == "free" and v <= 0:

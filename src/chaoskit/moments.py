@@ -27,15 +27,14 @@ step is contracted once and memoized.
 
 Walking B_k one tuple at a time costs |B_k|, which grows exponentially
 (4,213 tuples at p = 2, k = 12; 227,475 at k = 16), so the moments sum the
-rank tree level by level instead (`_walk`).  After each step, every
-prefix that reaches the same block tuple is one term whose weight is the sum
-of those prefixes' weights.  The classical weight factors step by step, so a
+rank tree level by level instead (`_walk`).  After each step, every prefix
+that reaches the same block tuple is one term whose weight is the sum of
+those prefixes' weights.  The classical weight factors step by step, so a
 rank-r step first multiplies the term weights by its step weight and the
 final sum needs no per-tuple weight.  Which ranks may follow a running
 order, and the step weights, come from `combinatorics.rank_steps`, the one
-place that rule lives; the walk iterates its table.  Terms also
-carry a flag, "every rank so far in {0, p}", so one pass yields both the
-C_k and the E_k part of the sum.
+place that rule lives.  `convergence_report` walks class C separately and
+takes the E_k part as B_k - C_k.
 
 `chain_values` returns one value per rank tuple, which merging would lose,
 so it folds each tuple of `comb.rank_tree` through the chain steps alone,
@@ -284,30 +283,26 @@ def _chain(f: GridKernel, model: str) -> _Chain:
     raise InvalidInputError(f"unknown model {model!r}")
 
 
-def _walk(chain: _Chain, k: int, classes: str = "B") -> tuple[Scalar, Scalar]:
-    """Raw C_k and E_k parts of the weighted chain sum over B_k (or C_k):
+def _walk(chain: _Chain, k: int, classes: str = "B") -> Scalar:
+    """Raw weighted chain sum over B_k (or C_k; E_k is their difference):
     the merged level-by-level walk of the module docstring over one
-    `comb.rank_steps` table, each state labelled by whether every rank so
-    far is in {0, p}."""
+    `comb.rank_steps` table.  Its state is one {block ids: weight} dict, so
+    C and E prefixes that reach the same blocks are one term."""
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
-    p = chain.p
-    check_axes(chain.m, p)  # free steps reshape f per slot; bounds p before p!
+    check_axes(chain.m, chain.p)  # free steps reshape f per slot; bounds p before p!
     weighted = isinstance(chain, _ClassicalChain)
-    levels = {True: chain.initial()}
-    for table in comb.rank_steps(p, k, classes):
-        nxt: dict = {}
-        for in_c, terms in levels.items():
-            by_rank: dict[int, dict] = {}
-            for ids, w in terms.items():
-                for r, weight in table[chain.order(ids)]:
-                    by_rank.setdefault(r, {})[ids] = w * weight if weighted else w
-            for r, bucket in by_rank.items():
-                out = nxt.setdefault(in_c and r in (0, p), {})
-                for ids, w in chain.step(bucket, r).items():
-                    out[ids] = out.get(ids, chain.zero) + w
-        levels = nxt
-    return chain.finalize(levels.get(True, {})), chain.finalize(levels.get(False, {}))
+    terms = chain.initial()
+    for table in comb.rank_steps(chain.p, k, classes):
+        by_rank: dict[int, dict] = {}
+        for ids, w in terms.items():
+            for r, weight in table[chain.order(ids)]:
+                by_rank.setdefault(r, {})[ids] = w * weight if weighted else w
+        terms = {}
+        for r, bucket in by_rank.items():
+            for ids, w in chain.step(bucket, r).items():
+                terms[ids] = terms.get(ids, chain.zero) + w
+    return chain.finalize(terms)
 
 
 def chain_values(f: GridKernel, k: int, model: str,
@@ -339,8 +334,7 @@ def _formula_moment(f: GridKernel, k: int, model: str) -> Scalar:
     chain = _chain(f, model)
     if k == 1:
         return chain.zero
-    ck, ek = _walk(chain, k)
-    return scaled_scalar(ck + ek, f.scale_sq, k, f.mode)
+    return scaled_scalar(_walk(chain, k), f.scale_sq, k, f.mode)
 
 
 def free_moment(f: GridKernel, k: int) -> Scalar:
@@ -602,7 +596,9 @@ def convergence_report(family: str, n_list, k_max: int, model: str,
 
     One row per (n, k): the formula-path moment, the Gaussian/semicircle
     target, their gap, the B_k sum split into its C_k and E_k parts, and the
-    self-contraction profile.  For the free model the C_k partial sum is
+    self-contraction profile.  Two walks give the B_k and C_k sums and E_k
+    is their difference, so a float E_k carries rounding error relative to
+    B_k, not to E_k.  For the free model the C_k partial sum is
     always computed in exact arithmetic (cheap: class-C chains only take
     full or tensor steps), which makes its constancy an exact statement.
     """
@@ -618,15 +614,14 @@ def convergence_report(family: str, n_list, k_max: int, model: str,
             exact_f = family_kernel(family, n=n, model=model, mode="exact")
             exact_chain = _chain(exact_f, model)
         for k in range(2, k_max + 1):
-            c_raw, e_raw = _walk(chain, k)
+            b_raw, c_raw = _walk(chain, k), _walk(chain, k, "C")
             moment, ck, ek = (
                 scaled_scalar(v, f.scale_sq, k, mode)
-                for v in (c_raw + e_raw, c_raw, e_raw)
+                for v in (b_raw, c_raw, b_raw - c_raw)
             )
             if exact_chain is not None:
-                ck = scaled_scalar(
-                    _walk(exact_chain, k, "C")[0], exact_f.scale_sq, k, "exact"
-                )
+                ck = scaled_scalar(_walk(exact_chain, k, "C"),
+                                   exact_f.scale_sq, k, "exact")
             if model == "classical":
                 target = comb.gaussian_moment(k)
             else:

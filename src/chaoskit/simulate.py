@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .config import check_entries, thread_count
-from .errors import BudgetExceededError, InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError
 from .kernels import (
     GridKernel,
     Scalar,
@@ -227,15 +227,8 @@ def _free_sampling_kernel(f: GridKernel, k: int, dim: int) -> GridKernel:
     # a draw holds m increments and the m^(p-1) stacked partials of
     # _matrix_model, each dim x dim
     p, m = f.order, f.resolution
-    try:
-        check_entries(m, max(1, p - 1), rows=dim * dim)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            exc.order, exc.entries, exc.budget,
-            f"GUE matrix model at dimension {dim} needs "
-            f"{m ** max(1, p - 1) * dim * dim} entries, exceeding the budget "
-            f"of {exc.budget}",
-        ) from None
+    check_entries(m, max(1, p - 1), rows=dim * dim,
+                  what=f"GUE matrix model at dimension {dim}")
     return as_float(f)
 
 

@@ -412,6 +412,31 @@ def test_moment_float_order_past_factorial_range(capsys, tmp_path):
     assert obj["report"]["value"] == 0.0 and obj["report"]["target"] is None
 
 
+@pytest.mark.parametrize("coeff, want", [(1.0, math.inf), (0.0, 0.0)])
+def test_float_expansion_past_factorial_range(capfd, tmp_path, coeff, want):
+    # the product formula scales by 200!, which passes binary64
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 200, "m": 1, "mode": "float", "coeffs": [coeff]}))
+    code = main(["moment", str(path), "--k", "2", "--path", "expansion",
+                 "--model", "classical"])
+    out, err = capfd.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["value"] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "2", "--samples", "1000", "--seed", "1"],
+    ["fourth-check"],
+])
+def test_float_variance_past_binary64_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"model": "classical", "p": 2, "m": 2, "mode": "float",
+                                "coeffs": [1e200] * 4}))
+    code = main([argv[0], str(path), "--normalize", *argv[1:]])
+    assert code == 2
+    assert "use exact mode" in capsys.readouterr().err
+
+
 def test_fourth_check_symmetrizes_once_per_kernel(capsys, monkeypatch):
     import chaoskit.kernels as kernels
     import chaoskit.moments as moments

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -228,6 +229,22 @@ def test_normalize_float_mode(pair_kernel):
     assert g.mode == "float"
     assert abs(l2_inner(g, adjoint(g)) - 1.0) < 1e-12
     assert abs(g.coeffs[1] - math.sqrt(2)) < 1e-12
+
+
+def test_scale_past_binary64_is_inf_and_keeps_zeros():
+    f = new_kernel(1, 2, [1.0, 0.0], mode="float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scale(f, 10**400).coeffs.tolist() == [math.inf, 0.0]
+        assert scale(f, -(10**400)).coeffs.tolist() == [-math.inf, 0.0]
+        assert scale(f, Fraction(1, 10**400)).coeffs.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("model", ["classical", "free"])
+def test_normalize_float_variance_past_binary64(model):
+    f = new_kernel(2, 2, [1e200] * 4, mode="float")
+    with pytest.raises(InvalidInputError, match="use exact mode"):
+        normalize_variance(f, model)
 
 
 def test_refine():

@@ -24,6 +24,7 @@ from chaoskit.kernels import (
 )
 from chaoskit.moments import (
     MomentReport,
+    _ClassicalChain,
     _gauss_polynomial,
     chain_values,
     classical_fourth_identity,
@@ -118,6 +119,23 @@ def test_merged_moments_match_per_tuple_sums(rng, p, mode):
             g = random_mirror_kernel(rng, p, m, mode)
             _assert_same_sum(free_moment(g, k), _per_tuple_terms(g, k, "free"),
                              mode, ("free", p, m, k))
+
+
+def test_merged_walk_steps_one_term_per_block_tuple(monkeypatch, pair_kernel):
+    # C and E prefixes that reach the same blocks are now one term, so the
+    # walk steps fewer terms than one that kept them apart (379 and 214)
+    stepped = []
+    step = _ClassicalChain.step
+
+    def counting(self, terms, r):
+        stepped.append(len(terms))
+        return step(self, terms, r)
+
+    monkeypatch.setattr(_ClassicalChain, "step", counting)
+    for f, k, want in [(pair_kernel, 11, 307), (constant_kernel(4, 1), 8, 186)]:
+        stepped.clear()
+        classical_moment(f, k)
+        assert sum(stepped) == want
 
 
 @pytest.mark.parametrize("model", ["classical", "free"])

@@ -272,6 +272,16 @@ def test_gue_budget_exits_3_from_cli(capsys, tmp_path, pair_kernel):
     assert "dimension 1000000" in err and "Traceback" not in err
 
 
+def test_gue_budget_message_names_the_matrix_model(capsys, tmp_path, pair_kernel):
+    path = tmp_path / "pair.json"
+    path.write_text(kernel_to_json(pair_kernel, "free"))
+    main(["simulate", str(path), "--model", "free", "--normalize", "--k", "4",
+          "--samples", "1", "--seed", "1", "--dim", "1000000"])
+    assert capsys.readouterr().err.strip().endswith(
+        "GUE matrix model at dimension 1000000 needs 2000000000000 entries, "
+        "exceeding the budget of 10000000")
+
+
 def test_check_entries_stops_at_budget():
     # the old m**order for this order would never finish
     with pytest.raises(BudgetExceededError) as exc:
