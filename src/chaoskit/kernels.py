@@ -134,15 +134,15 @@ def _widen(inner: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _times(x, factor: Fraction):
     """A float scalar or array times a rational factor; dividing by an
-    integer denominator rounds once, as the plain division did.  A factor
-    past binary64 is +-inf, as in `as_scalar`, and zeros stay zero."""
+    integer denominator rounds once.  A factor past binary64 goes in as
+    mantissa * 2**e: only a product past binary64 is +-inf, zeros stay 0."""
     try:
         return x / factor.denominator if factor.numerator == 1 else x * float(factor)
-    except OverflowError:  # the denominator or the factor passes binary64
-        if factor.numerator == 1:
-            return x * float(factor)  # 1/d rounds to 0 or a subnormal
-    sign = 1.0 if factor > 0 else -1.0  # x * inf would turn zeros into nan
-    return np.where(x == 0, 0.0, np.copysign(math.inf, x) * sign)[()]
+    except OverflowError:
+        e = factor.numerator.bit_length() - factor.denominator.bit_length()
+        m, ex = np.frexp(x)  # |m * mantissa| < 2 cannot overflow
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(m * float(factor / Fraction(2) ** e), ex + e)
 
 
 def _reduce(nums: np.ndarray, factor: Fraction) -> tuple[np.ndarray, Fraction]:

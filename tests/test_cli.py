@@ -412,7 +412,11 @@ def test_moment_float_order_past_factorial_range(capsys, tmp_path):
     assert obj["report"]["value"] == 0.0 and obj["report"]["target"] is None
 
 
-@pytest.mark.parametrize("coeff, want", [(1.0, math.inf), (0.0, 0.0)])
+@pytest.mark.parametrize("coeff, want", [
+    (1.0, math.inf),
+    (0.0, 0.0),
+    (1e-100, math.factorial(200) / 10**200),  # 200! * 1e-200 fits binary64
+])
 def test_float_expansion_past_factorial_range(capfd, tmp_path, coeff, want):
     # the product formula scales by 200!, which passes binary64
     path = tmp_path / "big.json"
@@ -421,7 +425,7 @@ def test_float_expansion_past_factorial_range(capfd, tmp_path, coeff, want):
                  "--model", "classical"])
     out, err = capfd.readouterr()
     assert code == 0 and err == ""
-    assert json.loads(out)["report"]["value"] == want
+    assert math.isclose(json.loads(out)["report"]["value"], want, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

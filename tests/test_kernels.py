@@ -238,6 +238,12 @@ def test_scale_past_binary64_is_inf_and_keeps_zeros():
         assert scale(f, 10**400).coeffs.tolist() == [math.inf, 0.0]
         assert scale(f, -(10**400)).coeffs.tolist() == [-math.inf, 0.0]
         assert scale(f, Fraction(1, 10**400)).coeffs.tolist() == [0.0, 0.0]
+        # a product inside binary64 stays finite when the factor is not
+        g = new_kernel(1, 1, [1e300], mode="float")
+        assert math.isclose(scale(g, Fraction(1, 10**320)).coeffs[0], 1e-20, rel_tol=1e-15)
+        h = new_kernel(1, 1, [1e-200], mode="float")
+        assert math.isclose(scale(h, math.factorial(200)).coeffs[0],
+                            math.factorial(200) / 10**200, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("model", ["classical", "free"])
