@@ -22,7 +22,6 @@ from .kernels import (
     exact_sqrt,
     family_kernel,
     fold_scale,
-    from_json_dict,
     is_mirror_symmetric,
     is_off_diagonal,
     is_symmetric,
@@ -35,7 +34,6 @@ from .kernels import (
     off_diagonal_part,
     refine,
     symmetrize,
-    to_json_dict,
 )
 from .contractions import (
     contract_classical,

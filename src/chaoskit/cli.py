@@ -18,7 +18,6 @@ import io
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
@@ -46,7 +45,6 @@ from .kernels import (
     symmetrize,
 )
 from .moments import (
-    MomentReport,
     classical_fourth_identity,
     compute_moment,
     contraction_profile,
@@ -65,50 +63,28 @@ EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 EXIT_VERIFY = 5
 
-SCHEMAS = {
-    "index-sets": "chaoskit.index_sets.v1",
-    "converge": "chaoskit.converge.v1",
-}
-
-
-@dataclass
-class RunManifest:
-    command: str
-    args: dict
-    kernel_source: Optional[str]
-    model: Optional[str]
-    mode: Optional[str]
-    seed: Optional[int]
-    schema: Optional[str]
-    package_version: str
-    numpy_version: str
-    python_version: str
-    rng_algorithm: Optional[str]
-    timestamp: str
-
-
 def _manifest(command: str, args: argparse.Namespace, *, kernel_source=None,
               model=None, mode=None, seed=None, schema=None,
-              rng: Optional[str] = None) -> RunManifest:
+              rng: Optional[str] = None) -> dict:
     shown = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "out", "command", "mode_fallback") and v is not None
     }
-    return RunManifest(
-        command=command,
-        args=shown,
-        kernel_source=kernel_source,
-        model=model,
-        mode=mode,
-        seed=seed,
-        schema=schema,
-        package_version=__version__,
-        numpy_version=np.__version__,
-        python_version=platform.python_version(),
-        rng_algorithm=rng,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    return {
+        "command": command,
+        "args": shown,
+        "kernel_source": kernel_source,
+        "model": model,
+        "mode": mode,
+        "seed": seed,
+        "schema": schema,
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "rng_algorithm": rng,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def _jsonable(value):
@@ -147,8 +123,8 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(manifest: RunManifest, report: dict, out: Optional[str]) -> None:
-    obj = {"manifest": asdict(manifest), "report": _jsonable(report)}
+def _emit_json(manifest: dict, report: dict, out: Optional[str]) -> None:
+    obj = {"manifest": manifest, "report": _jsonable(report)}
     try:
         text = json.dumps(obj, indent=2)
     except ValueError as exc:  # only an int past Python's digit cap
@@ -156,16 +132,16 @@ def _emit_json(manifest: RunManifest, report: dict, out: Optional[str]) -> None:
     _write(text + "\n", out)
 
 
-def _emit_table(manifest: RunManifest, header: list[str], rows: list[list],
+def _emit_table(manifest: dict, header: list[str], rows: list[list],
                 args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         report = {"rows": [dict(zip(header, row)) for row in rows]}
         _emit_json(manifest, report, args.out)
         return
     buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(asdict(manifest)) + "\n")
-    if manifest.schema:
-        buf.write(f"# schema: {manifest.schema}\n")
+    buf.write("# manifest: " + json.dumps(manifest) + "\n")
+    if manifest["schema"]:
+        buf.write(f"# schema: {manifest['schema']}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -181,9 +157,8 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
 
     --mode left unset follows the kernel file's mode (or the command's
     default for family kernels)."""
-    mode = getattr(args, "mode", None)
-    fallback = getattr(args, "mode_fallback", "exact")
-    if getattr(args, "kernel", None):
+    mode = args.mode
+    if args.kernel:
         try:
             with open(args.kernel, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -207,14 +182,14 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
                 "no model: pass --model or store one in the kernel file"
             )
         return kern, model, args.kernel
-    if getattr(args, "family", None):
+    if args.family:
         if args.model is None:
             raise InvalidInputError("--family requires --model")
-        requested = mode or fallback
+        requested = mode or args.mode_fallback
         if mode is None:
             args.mode = requested
         kern = family_kernel(
-            args.family, n=getattr(args, "n", None), p=getattr(args, "p", None),
+            args.family, n=args.n, p=args.p,
             model=args.model, mode=requested,
         )
         label = f"{args.family}(n={args.n})" if args.n else f"{args.family}(p={args.p})"
@@ -237,14 +212,13 @@ def cmd_moment(args: argparse.Namespace) -> int:
             if model == "classical"
             else comb.semicircle_moment(args.k)
         )
-    report = MomentReport(k=args.k, value=value, path=args.path, target=target)
     payload = {
-        "k": report.k,
+        "k": args.k,
         "model": model,
-        "path": report.path,
-        "value": report.value,
-        "value_float": as_scalar(report.value, "float"),
-        "target": report.target,
+        "path": args.path,
+        "value": value,
+        "value_float": as_scalar(value, "float"),
+        "target": target,
     }
     manifest = _manifest("moment", args, kernel_source=source, model=model,
                          mode=args.mode)
@@ -297,7 +271,7 @@ def cmd_index_sets(args: argparse.Namespace) -> int:
         else:
             lw = lv = dy = None
         rows.append([t.p, t.k, t.cls, list(t.r), coeff, lw, lv, dy])
-    manifest = _manifest("index-sets", args, schema=SCHEMAS["index-sets"])
+    manifest = _manifest("index-sets", args, schema="chaoskit.index_sets.v1")
     _emit_table(manifest, header, rows, args)
     return EXIT_OK
 
@@ -309,15 +283,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"bad --n list: {exc}") from exc
     if not n_list:
         raise InvalidInputError("--n must list at least one size")
-    if args.model is None:
-        raise InvalidInputError("converge requires --model")
     rows_data = convergence_report(args.family, n_list, args.kmax, args.model,
                                    mode=args.mode)
     header = ["family", "model", "n", "k", "moment", "target", "gap",
               "ck_sum", "ek_sum", "profile_sq", "profile_sym_sq"]
     rows = [[row[h] for h in header] for row in rows_data]
     manifest = _manifest("converge", args, model=args.model, mode=args.mode,
-                         schema=SCHEMAS["converge"])
+                         schema="chaoskit.converge.v1")
     _emit_table(manifest, header, rows, args)
     return EXIT_OK
 
@@ -355,25 +327,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_all()
+    passed = all(r["passed"] for r in results)
     if args.json:
-        manifest = _manifest("verify", args)
-        payload = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        _emit_json(manifest, payload, args.out)
+        _emit_json(_manifest("verify", args),
+                   {"checks": results, "passed": passed}, args.out)
     else:
         lines = []
         for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            lines.append(f"{mark} {r.name}" + (f": {r.detail}" if r.detail else ""))
-        ok = sum(r.passed for r in results)
+            mark = "PASS" if r["passed"] else "FAIL"
+            detail = f": {r['detail']}" if r["detail"] else ""
+            lines.append(f"{mark} {r['name']}{detail}")
+        ok = sum(r["passed"] for r in results)
         lines.append(f"{ok}/{len(results)} invariants passed")
         _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 # --- parser ------------------------------------------------------------------

@@ -320,7 +320,9 @@ def l2_inner(f: GridKernel, g: GridKernel) -> Scalar:
     """L2 inner product on [0,1]^p: (1/m^p) * sum_I a_I b_I, scales included."""
     _require_compatible(f, g)
     a, b = _widen(f.n_entries, f.nums, g.nums)
-    raw = _scalar(np.dot(a, b), f.factor * g.factor / f.resolution**f.order)
+    with np.errstate(over="ignore"):  # a float sum past binary64 is +-inf
+        dot = np.dot(a, b)
+    raw = _scalar(dot, f.factor * g.factor / f.resolution**f.order)
     rad = f.scale_sq * g.scale_sq
     root = exact_sqrt(rad)
     if root is not None:
@@ -628,7 +630,7 @@ def _brief(q: Scalar) -> str:
         return f"~{as_scalar(q, 'float'):.6g}"
 
 
-def to_json_dict(f: GridKernel, model: str | None = None) -> dict:
+def kernel_to_json(f: GridKernel, model: str | None = None) -> str:
     if model is not None and model not in MODELS:
         raise InvalidInputError(f"unknown model {model!r}")
     d: dict = {
@@ -643,10 +645,16 @@ def to_json_dict(f: GridKernel, model: str | None = None) -> dict:
             d["scale_sq"] = _frac_str(f.scale_sq)
     else:
         d["coeffs"] = [float(c) for c in f.coeffs]
-    return d
+    return json.dumps(d)
 
 
-def from_json_dict(d: dict) -> tuple[GridKernel, str | None]:
+def kernel_from_json(text: str) -> tuple[GridKernel, str | None]:
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"invalid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise InvalidInputError("kernel JSON must be an object")
     try:
         p, m, mode, coeffs = d["p"], d["m"], d["mode"], d["coeffs"]
     except KeyError as exc:
@@ -670,17 +678,3 @@ def from_json_dict(d: dict) -> tuple[GridKernel, str | None]:
             raise
         raise InvalidInputError(f"malformed kernel JSON: {exc}") from exc
     return kern, model
-
-
-def kernel_to_json(f: GridKernel, model: str | None = None) -> str:
-    return json.dumps(to_json_dict(f, model))
-
-
-def kernel_from_json(text: str) -> tuple[GridKernel, str | None]:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise InvalidInputError("kernel JSON must be an object")
-    return from_json_dict(d)

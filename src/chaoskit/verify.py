@@ -9,7 +9,6 @@ Monte Carlo checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,13 +41,6 @@ from .moments import (
     wick_oracle_moment,
 )
 from .simulate import SampleConfig, mc_classical_moment, mc_free_moment
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def _rand_fraction(rng) -> Fraction:
@@ -244,13 +236,16 @@ CHECKS = [
 ]
 
 
-def run_all() -> list[CheckResult]:
+def run_all() -> list[dict]:
+    """Run every check in order; each result is a ``{"name", "passed",
+    "detail"}`` dict, with the exception as the detail of a failure."""
     results = []
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            results.append({"name": name, "passed": False,
+                            "detail": f"{type(exc).__name__}: {exc}"})
         else:
-            results.append(CheckResult(name, True))
+            results.append({"name": name, "passed": True, "detail": ""})
     return results

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from chaoskit.cli import main
 from chaoskit.config import entry_budget, set_thread_count, thread_override
 from chaoskit.kernels import kernel_to_json, new_kernel, symmetrize
 from chaoskit.moments import classical_moment, wick_oracle_moment
+from chaoskit import verify
 from chaoskit.verify import _random_symmetric
 
 
@@ -375,6 +377,31 @@ def test_exit_code_precondition(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "{float}", "--k", "2", "--mode", "exact"],
+    ["moment", "--family", "pair_clt", "--n", "2", "--k", "2"],
+    ["moment", "--k", "2"],
+    ["moment", "{pair}", "--k", "0"],
+    ["converge", "--n", "1,x", "--model", "classical"],
+    ["converge", "--n", ",", "--model", "classical"],
+])
+def test_exit_code_invalid_request(capsys, tmp_path, pair_file, argv):
+    float_file = tmp_path / "float.json"
+    float_file.write_text(kernel_to_json(new_kernel(2, 2, [0.0, 1.0, 1.0, 0.0],
+                                                    mode="float"), "classical"))
+    paths = {"{pair}": pair_file, "{float}": str(float_file)}
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error (input):")
+
+
+def test_converge_requires_model():
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--n", "1,2"])
+    assert exc.value.code == 2
+
+
 def test_exit_code_unknown_flag(pair_file):
     with pytest.raises(SystemExit) as exc:
         main(["moment", pair_file, "--k", "4", "--frobnicate"])
@@ -401,6 +428,36 @@ def test_verify_command(capsys):
     assert code == 0
     assert "invariants passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_json_lists_every_check(capsys):
+    code, obj = run_json(capsys, "verify", "--json")
+    assert code == 0
+    assert obj["manifest"]["command"] == "verify"
+    assert obj["report"]["checks"] == [
+        {"name": name, "passed": True, "detail": ""} for name, _ in verify.CHECKS
+    ]
+    assert obj["report"]["passed"] is True
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    def boom():
+        raise AssertionError("boom")
+
+    checks = list(verify.CHECKS)
+    name = checks[4][0]
+    checks[4] = (name, boom)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    code, out = run(capsys, "verify")
+    assert code == 5
+    assert f"FAIL {name}: AssertionError: boom" in out.splitlines()
+    assert out.endswith("14/15 invariants passed\n")
+    code, obj = run_json(capsys, "verify", "--json")
+    assert code == 5
+    assert obj["report"]["checks"][4] == {
+        "name": name, "passed": False, "detail": "AssertionError: boom",
+    }
+    assert obj["report"]["passed"] is False
 
 
 def test_moment_float_order_past_factorial_range(capsys, tmp_path):
@@ -436,9 +493,13 @@ def test_float_variance_past_binary64_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"model": "classical", "p": 2, "m": 2, "mode": "float",
                                 "coeffs": [1e200] * 4}))
-    code = main([argv[0], str(path), "--normalize", *argv[1:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing sum is +-inf, silently
+        code = main([argv[0], str(path), "--normalize", *argv[1:]])
     assert code == 2
-    assert "use exact mode" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error (input): the variance passes the binary64 range; use exact mode\n"
+    )
 
 
 def test_fourth_check_symmetrizes_once_per_kernel(capsys, monkeypatch):

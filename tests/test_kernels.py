@@ -249,7 +249,9 @@ def test_scale_past_binary64_is_inf_and_keeps_zeros():
 @pytest.mark.parametrize("model", ["classical", "free"])
 def test_normalize_float_variance_past_binary64(model):
     f = new_kernel(2, 2, [1e200] * 4, mode="float")
-    with pytest.raises(InvalidInputError, match="use exact mode"):
+    with warnings.catch_warnings(), \
+            pytest.raises(InvalidInputError, match="use exact mode"):
+        warnings.simplefilter("error")  # the overflowing sum is +-inf, silently
         normalize_variance(f, model)
 
 

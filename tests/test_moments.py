@@ -315,6 +315,7 @@ def test_wick_oracle_reference_values(pair_kernel):
         1, 0, 3, 0, 15, 0, 105,
     ]
     assert wick_oracle_moment(pair_kernel, 4) == 9
+    assert wick_oracle_moment(new_kernel(0, 1, ["3/2"]), 3) == Fraction(27, 8)
 
 
 def test_wick_oracle_variance_is_isometry(rng):
@@ -384,6 +385,15 @@ def test_free_two_paths_agree(rng, p, m, kmax):
     f = random_mirror_kernel(rng, p, m)
     for k in range(2, kmax + 1):
         assert free_moment(f, k) == moment_via_expansion(f, k, "free"), (p, m, k)
+
+
+@pytest.mark.parametrize("path", ["formula", "expansion", "oracle"])
+def test_odd_moment_with_irrational_scale_is_float(path):
+    f = normalize_variance(constant_kernel(2, 1), "classical")  # scale_sq = 1/2
+    assert f.mode == "exact" and f.scale_sq == Fraction(1, 2)
+    # E[(He_2 / sqrt 2)^3] = 8 / 2^(3/2) = 2 sqrt 2, past the rationals
+    v = compute_moment(f, 3, "classical", path)
+    assert type(v) is float and v == 2.8284271247461903
 
 
 def test_compute_moment_dispatch(pair_kernel):

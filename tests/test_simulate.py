@@ -133,6 +133,12 @@ def test_mc_free_reproducible(pair_kernel):
     assert c.value == a.value
 
 
+def test_mc_free_order_zero_is_the_constant():
+    f = new_kernel(0, 1, [2.0], mode="float")
+    rep = mc_free_moment(f, 3, SampleConfig(seed=1, n_samples=3, matrix_dim=4))
+    assert rep.value == 8.0 and rep.stderr == 0.0
+
+
 def test_mc_free_requires_dim(pair_kernel):
     pv = normalize_variance(pair_kernel, "free")
     with pytest.raises(InvalidInputError):
