@@ -42,9 +42,6 @@ class ChaosExpansion:
     mode: str
     components: dict[int, GridKernel]
 
-    def component(self, q: int) -> GridKernel | None:
-        return self.components.get(q)
-
     def orders(self) -> list[int]:
         return sorted(self.components)
 

@@ -16,6 +16,7 @@ import contextvars
 import csv
 import io
 import json
+import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -87,11 +88,22 @@ def _manifest(command: str, args: argparse.Namespace, *, kernel_source=None,
     }
 
 
+def _not_nan(value: float) -> float:
+    """A float for a document; +-inf stands for a result past binary64, but
+    nan has no meaning there (nor any JSON form)."""
+    if math.isnan(value):
+        raise BudgetExceededError(0, 0, 0, "a float result passes the binary64 range "
+                                  "(nan); use exact mode")
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return _frac_str(value)
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float):
+        return _not_nan(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -106,7 +118,7 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return _frac_str(value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(_not_nan(value))
     if isinstance(value, (tuple, list)):
         return "|".join(_cell(v) for v in value)
     try:

@@ -14,9 +14,9 @@ is well-defined regardless, and iterated moment expansions need the
 intermediate non-symmetric tensors.
 
 Every array routine is one 2-D product over trailing slots (`_dot`): the
-free contraction first moves g's contracted slots last, and the tensor
-product and `multi_contract` fold it, so each intermediate is checked
-against the entry budget before it is built, and its int64 operands become
+free contraction first moves g's contracted slots last, and
+`multi_contract` folds it, so each intermediate is checked against the
+entry budget before it is built, and its int64 operands become
 Python ints where a sum could overflow (`kernels._widen`).  Only the free
 contraction reshapes a kernel to one axis per slot.  Flat arrays of either
 numeric mode go through the same numpy calls.  The results are raw sums
@@ -38,7 +38,8 @@ def _dot(fa: np.ndarray, p: int, ga: np.ndarray, q: int, r: int, m: int) -> np.n
     (rows T1, columns T2), checked against the budget before they exist."""
     check_entries(m, p + q - 2 * r)
     a, b = _widen(m**r, fa.reshape(-1, m**r), ga.reshape(-1, m**r))
-    return np.dot(a, b.T).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a float past binary64: +-inf
+        return np.dot(a, b.T).reshape(-1)
 
 
 def contract_arrays_classical(fa: np.ndarray, p: int, ga: np.ndarray, q: int,
@@ -57,16 +58,6 @@ def contract_arrays_free(fa: np.ndarray, p: int, ga: np.ndarray, q: int,
         ga = ga.reshape(check_axes(m, q)).transpose(perm)
     # _dot transposes this view back: np.dot sees the (m^r, m^(q-r)) operand
     return _dot(fa, p, ga.reshape(m**r, -1).T, q, r, m)
-
-
-def tensor_product_arrays(arrs: list[np.ndarray], orders: list[int],
-                          m: int) -> np.ndarray:
-    """Flat array of arrs[0] ox arrs[1] ox ... (slot order preserved)."""
-    out, order = arrs[0].reshape(-1), orders[0]
-    for nxt, o in zip(arrs[1:], orders[1:]):
-        out = _dot(out, order, nxt, o, 0, m)
-        order += o
-    return out
 
 
 def multi_contract(core: np.ndarray, p: int, parts: list[tuple[np.ndarray, int, int]],

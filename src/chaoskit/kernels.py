@@ -83,6 +83,19 @@ def as_scalar(x, mode: str) -> Scalar:
         return math.inf if x > 0 else -math.inf
 
 
+def _times_root(x: Fraction, q: Fraction) -> float:
+    """x * sqrt(q) in binary64, from the exact x^2 q scaled into range by a
+    power of 4, so a tiny x never meets a huge sqrt(q) as 0 * inf; the sign
+    is the rational's, and a result past binary64 is +-inf."""
+    y = x * x * q
+    e = (y.numerator.bit_length() - y.denominator.bit_length()) // 2
+    try:
+        v = math.ldexp(math.sqrt(y / Fraction(4) ** e), e)
+    except OverflowError:
+        v = math.inf
+    return -v if x < 0 else v
+
+
 def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -> Scalar:
     """Return raw * scale_sq**(half_power/2), exactly when representable.
 
@@ -98,7 +111,7 @@ def scaled_scalar(raw: Scalar, scale_sq: Fraction, half_power: int, mode: str) -
     root = exact_sqrt(rad)
     if root is not None:
         return raw * root
-    return as_scalar(raw, "float") * math.sqrt(as_scalar(rad, "float"))
+    return _times_root(Fraction(raw), rad)
 
 
 # --- the exact number format ------------------------------------------------
@@ -505,8 +518,12 @@ def as_float(f: GridKernel) -> GridKernel:
     """Float-mode copy with the exact scale folded in."""
     if f.mode == "float":
         return f
-    arr = np.array([as_scalar(c, "float") for c in f.coeffs], dtype=np.float64)
-    arr *= math.sqrt(as_scalar(f.scale_sq, "float"))
+    root = exact_sqrt(f.scale_sq)
+    if root is None:
+        arr = np.array([_times_root(c, f.scale_sq) for c in f.coeffs], dtype=np.float64)
+    else:
+        arr = np.array([as_scalar(c, "float") for c in f.coeffs], dtype=np.float64)
+        arr *= math.sqrt(as_scalar(f.scale_sq, "float"))
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("kernel coefficients pass the binary64 range; "
                                 "use exact mode")
@@ -668,6 +685,8 @@ def kernel_from_json(text: str) -> tuple[GridKernel, str | None]:
         raise InvalidInputError(
             f"kernel JSON 'coeffs' must be a list, got {type(coeffs).__name__}"
         )
+    if any(isinstance(c, bool) for c in coeffs):
+        raise InvalidInputError("kernel JSON 'coeffs' must be numbers, not booleans")
     model = d.get("model")
     if model is not None and model not in MODELS:
         raise InvalidInputError(f"unknown model {model!r} in kernel JSON")

@@ -30,17 +30,18 @@ Walking B_k one tuple at a time costs |B_k|, which grows exponentially
 rank tree level by level instead (`_walk`).  After each step, every prefix
 that reaches the same block tuple is one term whose weight is the sum of
 those prefixes' weights.  The classical weight factors step by step, so a
-rank-r step first multiplies the term weights by its step weight and the
+classical step folds its step weight into the split ratios above and the
 final sum needs no per-tuple weight.  Which ranks may follow a running
 order, and the step weights, come from `combinatorics.rank_steps`, the one
 place that rule lives.  `convergence_report` walks class C separately and
 takes the E_k part as B_k - C_k.
 
 `chain_values` returns one value per rank tuple, which merging would lose,
-so it folds each tuple of `comb.rank_tree` through the chain steps alone,
-without merging; its cost grows with |B_k|.  The test suite checks the
-merged sums against these per-tuple values, both against literal dense
-chains, and the moments against the product-formula expansion.
+so it folds each tuple of `comb.rank_tree` through the same levels, one
+rank with step weight 1 at a time; its cost grows with |B_k|.  The test
+suite checks the merged sums against these per-tuple values, both against
+literal dense chains, and the moments against the product-formula
+expansion.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .contractions import (
     contract_classical_sym,
     contract_free,
     multi_contract,
-    tensor_product_arrays,
 )
 from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
@@ -124,8 +124,10 @@ class _Chain:
     represented value is sum_terms w * (tensor product of the blocks).
     Blocks live in a content-addressed store: each is reduced to its
     canonical numerators and factor once, so equal blocks share one id.
-    Subclasses define a rank-r step; its memo is keyed by block ids, which
-    the store makes content addresses."""
+    `level` is the one place a term steps: it hands each term and each
+    (rank, step weight) of a `comb.rank_steps` table to the subclass's
+    `step`, which adds the stepped term into the next state.  Step memos
+    are keyed by block ids, which the store makes content addresses."""
 
     def __init__(self, f_nums: np.ndarray, f_factor: Fraction, p: int, m: int,
                  mode: str):
@@ -166,8 +168,14 @@ class _Chain:
     def initial(self) -> dict:
         return {(self.base,): self.one}
 
-    def order(self, ids: tuple) -> int:
-        return sum(self.orders[i] for i in ids)
+    def level(self, terms: dict, table: dict) -> dict:
+        """The next state: every term stepped at every rank that `table`
+        allows from its running order."""
+        out: dict = {}
+        for ids, w in terms.items():
+            for r, weight in table[sum(self.orders[i] for i in ids)]:
+                self.step(out, ids, w, r, weight)
+        return out
 
     def finalize(self, terms: dict) -> Scalar:
         if set(terms) - {()}:
@@ -177,36 +185,38 @@ class _Chain:
 
 class _FreeChain(_Chain):
     """Blocks stay in tensor-product order; a rank-r step only touches the
-    trailing blocks."""
+    trailing blocks.  Free moments carry no step weights."""
 
-    def _step_term(self, ids: tuple, w, r: int):
+    def step(self, out: dict, ids: tuple, w, r: int, weight) -> None:
         if r == 0:
-            return ids + (self.base,), w
-        rest = list(ids)
-        popped: list[int] = []
-        total = 0
-        while total < r:
-            i = rest.pop()
-            popped.append(i)
-            total += self.orders[i]
-        popped.reverse()
-        key = (tuple(popped), r)
-        hit = self.memo.get(key)
-        if hit is None:
-            arrs = [self.arrays[i] for i in popped]
-            block = tensor_product_arrays(arrs, [self.orders[i] for i in popped], self.m)
-            out = contract_arrays_free(block, total, self.f_arr, self.p, r, self.m)
-            hit = self.memo[key] = self.result(popped, r, total + self.p - 2 * r, out)
-        if hit[0] == "s":
-            return tuple(rest), w * hit[1]
-        return tuple(rest) + (hit[1],), w
-
-    def step(self, terms: dict, r: int) -> dict:
-        out: dict = {}
-        for ids, w in terms.items():
-            key, w = self._step_term(ids, w, r)
-            out[key] = out.get(key, self.zero) + w
-        return out
+            key = ids + (self.base,)
+        else:
+            rest = list(ids)
+            popped: list[int] = []  # last block first
+            total = 0
+            while total < r:
+                i = rest.pop()
+                popped.append(i)
+                total += self.orders[i]
+            memo_key = (tuple(popped), r)
+            hit = self.memo.get(memo_key)
+            if hit is None:
+                # each popped block contracts its last slots against the first
+                # slots of the running result; the earliest keeps its leading
+                # slots, as it would in the tensor product of the popped blocks
+                arr, order, left = self.f_arr, self.p, r
+                for i in popped:
+                    ri = min(left, self.orders[i])
+                    arr = contract_arrays_free(self.arrays[i], self.orders[i], arr,
+                                               order, ri, self.m)
+                    order += self.orders[i] - 2 * ri
+                    left -= ri
+                hit = self.memo[memo_key] = self.result(popped, r, order, arr)
+            if hit[0] == "s":
+                key, w = tuple(rest), w * hit[1]
+            else:
+                key = tuple(rest) + (hit[1],)
+        out[key] = out.get(key, self.zero) + w
 
 
 def _compositions(total: int, caps: tuple[int, ...]) -> list[tuple]:
@@ -234,37 +244,33 @@ class _ClassicalChain(_Chain):
         """Classical blocks are stored symmetrized."""
         return super().add(order, *_sym_array(nums, factor, order, self.m))
 
-    def step(self, terms: dict, r: int) -> dict:
-        out: dict = {}
-        for ids, w in terms.items():
-            if r == 0:
-                key = tuple(sorted(ids + (self.base,)))
-                out[key] = out.get(key, self.zero) + w
-                continue
-            orders = tuple(self.orders[i] for i in ids)
-            splits = self.splits.get((orders, r))
-            if splits is None:
-                # ratios prod_i C(o_i, r_i) / C(o, r), once per chain; one * count
-                # makes each a scalar of the chain's mode
-                denom = math.comb(sum(orders), r)
-                splits = self.splits[(orders, r)] = [
-                    (split, self.one * math.prod(map(math.comb, orders, split)) / denom)
-                    for split in _compositions(r, orders)
-                ]
-            for split, ratio in splits:
-                weight = w * ratio
-                parts_key = tuple(
-                    sorted((ids[i], ci) for i, ci in enumerate(split) if ci > 0)
-                )
-                untouched = tuple(ids[i] for i, ci in enumerate(split) if ci == 0)
-                kind, payload = self._fuse(parts_key)
-                if kind == "s":
-                    key = tuple(sorted(untouched))
-                    out[key] = out.get(key, self.zero) + weight * payload
-                else:
-                    key = tuple(sorted(untouched + (payload,)))
-                    out[key] = out.get(key, self.zero) + weight
-        return out
+    def step(self, out: dict, ids: tuple, w, r: int, weight) -> None:
+        if r == 0:
+            key = tuple(sorted(ids + (self.base,)))
+            out[key] = out.get(key, self.zero) + w * weight
+            return
+        orders = tuple(self.orders[i] for i in ids)
+        splits = self.splits.get((orders, r, weight))
+        if splits is None:
+            # ratios weight * prod_i C(o_i, r_i) / C(o, r), once per chain;
+            # one * weight makes each a scalar of the chain's mode
+            scaled, denom = self.one * weight, math.comb(sum(orders), r)
+            splits = self.splits[(orders, r, weight)] = [
+                (split, scaled * math.prod(map(math.comb, orders, split)) / denom)
+                for split in _compositions(r, orders)
+            ]
+        for split, ratio in splits:
+            parts_key = tuple(
+                sorted((ids[i], ci) for i, ci in enumerate(split) if ci > 0)
+            )
+            untouched = tuple(ids[i] for i, ci in enumerate(split) if ci == 0)
+            kind, payload = self._fuse(parts_key)
+            if kind == "s":
+                key = tuple(sorted(untouched))
+                out[key] = out.get(key, self.zero) + w * ratio * payload
+            else:
+                key = tuple(sorted(untouched + (payload,)))
+                out[key] = out.get(key, self.zero) + w * ratio
 
 
 def _chain(f: GridKernel, model: str) -> _Chain:
@@ -291,17 +297,9 @@ def _walk(chain: _Chain, k: int, classes: str = "B") -> Scalar:
     if k < 2:
         raise InvalidInputError("chain values need k >= 2")
     check_axes(chain.m, chain.p)  # free steps reshape f per slot; bounds p before p!
-    weighted = isinstance(chain, _ClassicalChain)
     terms = chain.initial()
     for table in comb.rank_steps(chain.p, k, classes):
-        by_rank: dict[int, dict] = {}
-        for ids, w in terms.items():
-            for r, weight in table[chain.order(ids)]:
-                by_rank.setdefault(r, {})[ids] = w * weight if weighted else w
-        terms = {}
-        for r, bucket in by_rank.items():
-            for ids, w in chain.step(bucket, r).items():
-                terms[ids] = terms.get(ids, chain.zero) + w
+        terms = chain.level(terms, table)
     return chain.finalize(terms)
 
 
@@ -321,9 +319,10 @@ def chain_values(f: GridKernel, k: int, model: str,
     tree = comb.rank_tree(chain.p, k, classes)
     out = {}
     for ranks, _ in tree:
-        terms = chain.initial()
-        for r in ranks:
-            terms = chain.step(terms, r)
+        terms, order = chain.initial(), chain.p
+        for r in ranks:  # every term of one tuple has the same running order
+            terms = chain.level(terms, {order: [(r, 1)]})
+            order += chain.p - 2 * r
         out[ranks] = scaled_scalar(chain.finalize(terms), f.scale_sq, k, f.mode)
     return out
 
@@ -548,19 +547,20 @@ def wick_oracle_moment(f: GridKernel, k: int) -> Scalar:
             f"Wick oracle may write {work} table entries and monomial "
             f"exponents, exceeding the budget of {cap}",
         )
-    base = _gauss_polynomial(f)
-    power = {(0,) * m: 1}
-    for _ in range(k):
-        power = _poly_mul(power, base)
-    gauss = [comb.gaussian_moment(e) for e in range(k * p + 1)]
-    raw = 0
-    for exps, co in power.items():
-        if any(e % 2 for e in exps):
-            continue
-        term = co
-        for e in filter(None, exps):
-            term *= gauss[e]
-        raw += term
+    with np.errstate(over="ignore", invalid="ignore"):  # float mode: inf, nan pass on
+        base = _gauss_polynomial(f)
+        power = {(0,) * m: 1}
+        for _ in range(k):
+            power = _poly_mul(power, base)
+        gauss = [comb.gaussian_moment(e) for e in range(k * p + 1)]
+        raw = 0
+        for exps, co in power.items():
+            if any(e % 2 for e in exps):
+                continue
+            term = co
+            for e in filter(None, exps):
+                term *= gauss[e]
+            raw += term
     return scaled_scalar(raw, f.scale_sq / m**p, k, f.mode)
 
 

@@ -502,6 +502,41 @@ def test_float_variance_past_binary64_exits_2(capsys, tmp_path, argv):
     )
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_boolean_coefficients_exit_2(capsys, tmp_path, mode):
+    # JSON true/false are Python bools, which int and float would take as 1/0
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"model": "classical", "p": 1, "m": 2, "mode": mode,
+                                "coeffs": [True, False]}))
+    code = main(["moment", str(path), "--k", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error (input): kernel JSON 'coeffs' must be numbers, not booleans\n"
+    )
+
+
+@pytest.mark.parametrize("path, code, value", [
+    ("formula", 0, math.inf),
+    ("expansion", 0, math.inf),
+    ("oracle", 3, None),
+], ids=["formula", "expansion", "oracle"])
+def test_float_overflow_is_inf_or_exits_3_without_warnings(capfd, tmp_path, path, code,
+                                                           value):
+    # the fourth moment of this kernel passes binary64; the oracle's sum of
+    # opposite infinities is nan, which no document may carry
+    kernel = tmp_path / "huge.json"
+    kernel.write_text(json.dumps({"model": "classical", "p": 2, "m": 2, "mode": "float",
+                                  "coeffs": [1e200, -1e200, -1e200, 1e200]}))
+    assert main(["moment", str(kernel), "--k", "4", "--path", path]) == code
+    out, err = capfd.readouterr()
+    if value is None:
+        assert out == ""
+        assert err == ("error (budget): a float result passes the binary64 range "
+                       "(nan); use exact mode\n")
+    else:
+        assert err == "" and json.loads(out)["report"]["value"] == value
+
+
 def test_fourth_check_symmetrizes_once_per_kernel(capsys, monkeypatch):
     import chaoskit.kernels as kernels
     import chaoskit.moments as moments

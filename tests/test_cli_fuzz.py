@@ -60,8 +60,6 @@ options = st.lists(st.sampled_from([["--model", "classical"], ["--model", "free"
                    max_size=2)
 
 
-# float kernels with entries near 1e308 overflow to inf by design
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=100, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kernel=kernel_json(), cmd=command, extra=options)
@@ -73,6 +71,14 @@ options = st.lists(st.sampled_from([["--model", "classical"], ["--model", "free"
          extra=[["--mode", "float"]])
 @example(kernel={"p": 200, "m": 1, "mode": "float", "model": "classical",
                  "coeffs": [1.0]}, cmd=["fourth-check", "--normalize"], extra=[])
+# float sums past binary64 are +-inf without warnings; the oracle's inf - inf
+@example(kernel={"p": 2, "m": 2, "mode": "float", "model": "classical",
+                 "coeffs": [1e200, -1e200, -1e200, 1e200]},
+         cmd=["moment", "--k", "4", "--path", "oracle"], extra=[])
+# a tiny coefficient under a huge irrational scale: sqrt 2 in binary64
+@example(kernel={"p": 2, "m": 1, "mode": "exact", "model": "classical",
+                 "coeffs": [f"1/{10**200}"], "scale_sq": str(2 * 10**400)},
+         cmd=["moment", "--k", "3", "--path", "formula"], extra=[["--mode", "float"]])
 def test_cli_never_exits_with_a_traceback(tmp_path, kernel, cmd, extra):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(kernel))

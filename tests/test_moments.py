@@ -25,6 +25,7 @@ from chaoskit.kernels import (
 from chaoskit.moments import (
     MomentReport,
     _ClassicalChain,
+    _FreeChain,
     _gauss_polynomial,
     chain_values,
     classical_fourth_identity,
@@ -121,21 +122,26 @@ def test_merged_moments_match_per_tuple_sums(rng, p, mode):
                              mode, ("free", p, m, k))
 
 
-def test_merged_walk_steps_one_term_per_block_tuple(monkeypatch, pair_kernel):
-    # C and E prefixes that reach the same blocks are now one term, so the
-    # walk steps fewer terms than one that kept them apart (379 and 214)
+@pytest.mark.parametrize("model", ["classical", "free"])
+def test_merged_walk_steps_one_term_per_block_tuple(monkeypatch, pair_kernel, model):
+    # C and E prefixes that reach the same blocks are one term, so the
+    # classical walk steps fewer terms than one that kept them apart (379 and 214)
+    chain, const_p, pins = {
+        "classical": (_ClassicalChain, 4, [(11, 307), (8, 186)]),
+        "free": (_FreeChain, 3, [(14, 2398), (10, 646)]),
+    }[model]
     stepped = []
-    step = _ClassicalChain.step
+    step = chain.step
 
-    def counting(self, terms, r):
-        stepped.append(len(terms))
-        return step(self, terms, r)
+    def counting(self, *args):
+        stepped.append(args)
+        return step(self, *args)
 
-    monkeypatch.setattr(_ClassicalChain, "step", counting)
-    for f, k, want in [(pair_kernel, 11, 307), (constant_kernel(4, 1), 8, 186)]:
+    monkeypatch.setattr(chain, "step", counting)
+    for f, (k, want) in zip([pair_kernel, constant_kernel(const_p, 1)], pins):
         stepped.clear()
-        classical_moment(f, k)
-        assert sum(stepped) == want
+        compute_moment(f, k, model)
+        assert len(stepped) == want
 
 
 @pytest.mark.parametrize("model", ["classical", "free"])
@@ -394,6 +400,32 @@ def test_odd_moment_with_irrational_scale_is_float(path):
     # E[(He_2 / sqrt 2)^3] = 8 / 2^(3/2) = 2 sqrt 2, past the rationals
     v = compute_moment(f, 3, "classical", path)
     assert type(v) is float and v == 2.8284271247461903
+
+
+# coefficient 10^-200 under scale_sq 2 * 10^400: every coefficient is sqrt 2,
+# though 10^-600 and sqrt(8 * 10^1200) each pass binary64
+TINY_ROOT2 = dict(p=2, m=1, coeffs=[Fraction(1, 10**200)], scale_sq=2 * 10**400)
+
+
+@pytest.mark.parametrize("path", ["formula", "expansion", "oracle"])
+def test_odd_moment_rounds_x_root_q_once(path):
+    f = new_kernel(**TINY_ROOT2)
+    # E[(sqrt 2 He_2)^3] = 2^(3/2) * 8
+    assert compute_moment(f, 3, "classical", path) == 22.627416997969522
+    v = compute_moment(as_float(f), 3, "classical", path)
+    assert math.isclose(v, 22.627416997969522, rel_tol=1e-12)
+
+
+def test_as_float_rounds_x_root_q_once():
+    assert as_float(new_kernel(**TINY_ROOT2)).coeffs.tolist() == [1.4142135623730951]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_order_zero_moment_past_binary64_is_inf(sign):
+    # 2 * 10^308 * sqrt 2 passes binary64; its sign comes from the rational
+    f = new_kernel(0, 1, [sign * 2 * 10**308], scale_sq=2)
+    for path in ("formula", "expansion", "oracle"):
+        assert compute_moment(f, 1, "classical", path) == sign * math.inf
 
 
 def test_compute_moment_dispatch(pair_kernel):

@@ -19,7 +19,6 @@ from chaoskit.contractions import (
     contract_classical_sym,
     contract_free,
     multi_contract,
-    tensor_product_arrays,
 )
 from chaoskit.kernels import (
     GridKernel,
@@ -85,14 +84,6 @@ def test_contraction_dot_overflow_falls_back(rng):
                 assert routine(f.nums, p, g.nums, q, r, m).dtype == object
         want = sum(a * b for a, b in zip(f.coeffs, f.coeffs)) / m**p
         assert l2_inner(f, f) == want
-
-
-def test_tensor_product_overflow_falls_back(rng):
-    a = big_kernel(rng, 1, 3).nums
-    b = big_kernel(rng, 2, 2).nums
-    out = tensor_product_arrays([a, b, a], [1, 2, 1], 2)
-    want = [x * y * z for x in a.tolist() for y in b.tolist() for z in a.tolist()]
-    assert out.dtype == object and out.tolist() == want
 
 
 def test_single_entry_factor_stays_positive():
