@@ -5,8 +5,8 @@ Single reports print as JSON, tables as CSV (``--json`` forces JSON).
 Every output embeds a run manifest; with a fixed manifest the payload rows
 are reproducible (bit-for-bit in exact mode), only the timestamp differs.
 
-Exit codes: 0 ok, 2 invalid input, 3 size budget exceeded, 4 mathematical
-precondition violated, 5 verification failure.
+Exit codes: 0 ok, 2 invalid input, 3 size budget exceeded or out of memory,
+4 mathematical precondition violated, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -307,7 +307,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    passed = args.mode
     kern, model, source = _load_kernel(args)
+    args.mode = passed  # the samplers run in binary64 whatever the kernel's mode
     if args.normalize:
         kern = normalize_variance(kern, model)
     cfg = SampleConfig(seed=args.seed, n_samples=args.samples,
@@ -332,7 +334,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "matrix_dim": cfg.matrix_dim,
     }
     manifest = _manifest("simulate", args, kernel_source=source, model=model,
-                         mode=args.mode, seed=args.seed, rng=RNG_ALGORITHM)
+                         mode="float", seed=args.seed, rng=RNG_ALGORITHM)
     _emit_json(manifest, payload, args.out)
     return EXIT_OK
 
@@ -459,6 +461,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return contextvars.copy_context().run(_run, args)
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error (budget): out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except PreconditionError as exc:
         print(f"error (precondition): {exc}", file=sys.stderr)

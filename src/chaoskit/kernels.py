@@ -29,8 +29,9 @@ package runs the same numpy calls on either.
     folded into the coefficients at construction time and ``scale_sq`` is
     identically 1.
 
-Cells are decoded here once: `_orbits` groups them by index multiset;
-symmetrization, the symmetry test, the diagonal mask and `_cell_plan`
+Cells are decoded here once: `_orbits` groups them by index multiset,
+naming each orbit by its smallest cell, in one byte per slot and no sort of
+keys; symmetrization, the symmetry test, the diagonal mask and `_cell_plan`
 (the Wick oracle's and the sampler's Hermite form) all read it.
 """
 
@@ -358,16 +359,26 @@ def _orbits(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray,
     """The one cell decoder: cells with the same index multiset form an orbit
     under argument permutations.  Returns each cell's orbit id, the orbit
     sizes, their lcm L, the integers L / size and each orbit's sorted
-    multiset.  Orbits are numbered in first-cell order, which is np.unique's
-    order of the base-m multiset keys: a sorted arrangement is its orbit's
-    smallest cell."""
-    powers = m ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    digits = np.sort(np.arange(m**p, dtype=np.int64)[:, None] // powers % m, axis=1)
-    _, first, ids, sizes = np.unique(digits @ powers, return_index=True,
-                                     return_inverse=True, return_counts=True)
+    multiset.  A cell's sorted digits, read in base m, are the flat index of
+    its orbit's smallest cell; the cells that are their own smallest cell
+    list the orbits in first-cell order.  The digits take one byte per slot
+    for m <= 256, so decoding costs about 17 + p bytes per cell."""
+    n = m**p
+    cells = np.arange(n, dtype=np.int64)
+    digits = np.empty((n, p), dtype=np.min_scalar_type(m - 1))
+    for j in range(p - 1, -1, -1):
+        digits[:, j] = cells % m
+        cells //= m
+    digits.sort(axis=1)
+    for j in range(p):  # cells is all zeros: it becomes each smallest cell
+        cells *= m
+        cells += digits[:, j]
+    first = np.flatnonzero(cells == np.arange(n))
+    ids = np.searchsorted(first, cells)
+    sizes = np.bincount(ids)
     lcm = math.lcm(*sizes.tolist())
     mult = _int_array([lcm // s for s in sizes.tolist()])
-    multisets = digits[first]
+    multisets = digits[first].astype(np.int64)
     for arr in (ids, sizes, mult, multisets):
         arr.setflags(write=False)
     return ids, sizes, lcm, mult, multisets

@@ -231,6 +231,20 @@ def test_simulate_free(capsys, pair_file):
     assert abs(obj["report"]["estimate"] - 2.5) < 0.2
 
 
+@pytest.mark.parametrize("model", ["classical", "free"])
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_simulate_manifest_mode_is_float(capsys, pair_file, model, mode):
+    argv = ["simulate", pair_file, "--model", model, "--k", "3",
+            "--samples", "1000", "--seed", "1", "--dim", "8"]
+    code, obj = run_json(capsys, *argv, *(["--mode", mode] if mode else []))
+    assert code == 0
+    with open(pair_file) as fh:
+        assert json.load(fh)["mode"] == "exact"
+    assert obj["manifest"]["mode"] == "float"  # the samplers run on as_float
+    assert obj["manifest"]["args"].get("mode") == mode
+    assert isinstance(obj["report"]["estimate"], float)
+
+
 def test_simulate_free_needs_dim(capsys, pair_file):
     code, _ = run(capsys, "simulate", pair_file, "--model", "free",
                   "--normalize", "--k", "4", "--samples", "5", "--seed", "1")
@@ -356,6 +370,25 @@ def test_exit_code_oracle_past_work_bound(capsys, monkeypatch, tmp_path, p, m, k
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error (budget): Wick oracle")
+
+
+@pytest.mark.parametrize("command, call, argv", [
+    ("moment", "compute_moment", ["--k", "14"]),
+    ("simulate", "mc_classical_moment", ["--k", "4", "--samples", "10", "--seed", "1"]),
+])
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, pair_file,
+                                             command, call, argv):
+    from chaoskit import cli
+
+    def _exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, call, _exhaust)
+    code = main([command, pair_file, *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error (budget): out of memory\n"
+    assert captured.out == ""
 
 
 def test_symmetrized_float_kernel_file_is_symmetric(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -360,9 +361,9 @@ def test_refine_preserves_inner(rng):
     assert l2_inner(refine(f, 3), refine(g, 3)) == l2_inner(f, g)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 6, 9])
 def test_orbits_match_product_decoder(p):
-    for m in (1, 2, 3, 4):
+    for m in {3: (1, 2, 3, 4, 5), 6: (3,), 9: (2,)}.get(p, (1, 2, 3, 4)):
         numbering: dict[tuple, int] = {}  # sorted multiset -> id, first-cell order
         ids = [numbering.setdefault(tuple(sorted(cell)), len(numbering))
                for cell in product(range(m), repeat=p)]
@@ -372,3 +373,15 @@ def test_orbits_match_product_decoder(p):
         assert multisets.tolist() == [list(key) for key in numbering], (p, m)
         assert got_sizes.tolist() == sizes, (p, m)
         assert lcm == math.lcm(*sizes) and mult.tolist() == [lcm // s for s in sizes]
+        assert all(a.dtype == np.int64 for a in (got_ids, got_sizes, mult, multisets))
+
+
+def test_orbits_decode_in_a_few_bytes_per_cell():
+    _orbits.cache_clear()  # a cached entry would trace nothing
+    tracemalloc.start()
+    try:
+        _orbits(2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**16, peak / 2**16
