@@ -39,7 +39,6 @@ from .contractions import (
     contract_classical,
     contract_classical_sym,
     contract_free,
-    multi_contract,
 )
 from .chaos import (
     ChaosExpansion,

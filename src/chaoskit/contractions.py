@@ -13,15 +13,17 @@ Both accept general (not necessarily symmetric) kernels: the grid formula
 is well-defined regardless, and iterated moment expansions need the
 intermediate non-symmetric tensors.
 
-Every array routine is one 2-D product over trailing slots (`_dot`): the
-free contraction first moves g's contracted slots last, and
-`multi_contract` folds it, so each intermediate is checked against the
-entry budget before it is built, and its int64 operands become
-Python ints where a sum could overflow (`kernels._widen`).  Only the free
-contraction reshapes a kernel to one axis per slot.  Flat arrays of either
-numeric mode go through the same numpy calls.  The results are raw sums
-without the measure factor 1/m^r, which the kernel-level contractions and
-the chain evaluator fold into a rational factor (see kernels.py).
+Every array routine is one 2-D product over trailing slots (`_dot`), the
+free contraction after moving g's contracted slots last, so each result is
+checked against the entry budget before it is built, and its int64
+operands become Python ints where a sum could overflow (`kernels._widen`).
+The chain evaluator folds several blocks into f one routine call at a time
+(`moments._Chain.fuse`), so every intermediate passes the same check.
+Only the free contraction reshapes a kernel to one axis per slot.  Flat
+arrays of either numeric mode go through the same numpy calls.  The
+results are raw sums without the measure factor 1/m^r, which the
+kernel-level contractions and the chain evaluator fold into a rational
+factor (see kernels.py).
 """
 
 from __future__ import annotations
@@ -58,25 +60,6 @@ def contract_arrays_free(fa: np.ndarray, p: int, ga: np.ndarray, q: int,
         ga = ga.reshape(check_axes(m, q)).transpose(perm)
     # _dot transposes this view back: np.dot sees the (m^r, m^(q-r)) operand
     return _dot(fa, p, ga.reshape(m**r, -1).T, q, r, m)
-
-
-def multi_contract(core: np.ndarray, p: int, parts: list[tuple[np.ndarray, int, int]],
-                   m: int) -> tuple[np.ndarray, int]:
-    """Contract several tensors against distinct slot blocks of one core.
-
-    `parts` is a list of (array, order, r_i) with r_i >= 1 and sum r_i <= p;
-    part i gives its last r_i slots to r_i distinct slots of the core.
-    Returns (flat array of raw sums, order), without the measure factor
-    1/m^(sum r_i); slot order is [parts reversed free slots..., core free
-    slots], which callers symmetrize anyway.  Each part is one budgeted `_dot`.
-    """
-    if sum(r for _, _, r in parts) > p:
-        raise InvalidInputError("multi_contract: parts over-consume the core")
-    out, order = core.reshape(-1), p
-    for arr, o, r in parts:
-        out = _dot(arr, o, out, order, r, m)
-        order += o - 2 * r
-    return out, order
 
 
 def _contract(contract_arrays, f: GridKernel, g: GridKernel, r: int) -> GridKernel:

@@ -316,7 +316,8 @@ def new_kernel(p: int, m: int, coeffs: Iterable, mode: str = "exact",
 
 
 def constant_kernel(p: int, m: int, value=1, mode: str = "exact") -> GridKernel:
-    return new_kernel(p, m, [value] * (m**p), mode=mode)
+    # a generator, so that new_kernel checks the budget before any coefficient exists
+    return new_kernel(p, m, (value for _ in range(m**p)), mode=mode)
 
 
 def _require_compatible(f: GridKernel, g: GridKernel, same_order: bool = True) -> None:
@@ -614,11 +615,9 @@ def family_kernel(name: str, *, n: int | None = None, p: int | None = None,
         if model not in MODELS:
             raise InvalidInputError("pair_clt requires a model")
         m = 2 * n
-        coeffs = [0] * (m * m)
-        for i in range(n):
-            a, b = 2 * i, 2 * i + 1
-            coeffs[a * m + b] = 1
-            coeffs[b * m + a] = 1
+        # cells 2i and 2i+1 pair up exactly when their xor is 1; a generator,
+        # so that new_kernel checks the budget before any coefficient exists
+        coeffs = (int(a ^ b == 1) for a in range(m) for b in range(m))
         sq = n if model == "classical" else 2 * n
         return new_kernel(2, m, coeffs, mode=mode, scale_sq=sq)
     if name == "constant_hermite":
@@ -698,11 +697,14 @@ def kernel_from_json(text: str) -> tuple[GridKernel, str | None]:
         )
     if any(isinstance(c, bool) for c in coeffs):
         raise InvalidInputError("kernel JSON 'coeffs' must be numbers, not booleans")
+    scale_sq = d.get("scale_sq", 1)
+    if isinstance(scale_sq, bool):
+        raise InvalidInputError("kernel JSON 'scale_sq' must be a number, not a boolean")
     model = d.get("model")
     if model is not None and model not in MODELS:
         raise InvalidInputError(f"unknown model {model!r} in kernel JSON")
     try:
-        kern = new_kernel(p, m, coeffs, mode=mode, scale_sq=d.get("scale_sq", 1))
+        kern = new_kernel(p, m, coeffs, mode=mode, scale_sq=scale_sq)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         if isinstance(exc, InvalidInputError):
             raise

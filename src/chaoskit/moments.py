@@ -22,8 +22,10 @@ deduplicated dense blocks:
   where fuse contracts r_i slots of each chosen block against distinct slots
   of the incoming kernel.
 
-Blocks stay small (order <= 2p-2 in practice), and each distinct (blocks, r)
-step is contracted once and memoized.
+Both walks contract through one fold, `_Chain.fuse`, and differ only in
+which block slots a rank-r step takes.  Blocks stay small (order <= 2p-2 in
+practice), and each distinct (blocks, r) step is contracted once and
+memoized.
 
 Walking B_k one tuple at a time costs |B_k|, which grows exponentially
 (4,213 tuples at p = 2, k = 12; 227,475 at k = 16), so the moments sum the
@@ -59,11 +61,11 @@ from . import combinatorics as comb
 from .chaos import moment_via_expansion
 from .config import check_axes, entry_budget
 from .contractions import (
+    contract_arrays_classical,
     contract_arrays_free,
     contract_classical,
     contract_classical_sym,
     contract_free,
-    multi_contract,
 )
 from .errors import BudgetExceededError, InvalidInputError, PreconditionError
 from .kernels import (
@@ -157,13 +159,21 @@ class _Chain:
             self.factors.append(factor)
         return hit
 
-    def result(self, ids, r: int, order: int, nums: np.ndarray):
-        """Memo entry for the raw sums `nums` of contracting r slots of the
-        blocks `ids` with f: ("s", scalar) or ("f", block id)."""
-        factor = _product([self.f_factor, *(self.factors[i] for i in ids)], self.m**r)
+    def fuse(self, parts, contract):
+        """Memo entry for f folded with the blocks of `parts`, (block id, r_i)
+        pairs in fold order: each block gives its last r_i slots to the
+        running result through `contract`, one of the array routines of
+        `contractions`.  ("s", scalar) at order 0, else ("f", block id)."""
+        arr, order, r = self.f_arr, self.p, 0
+        for i, ri in parts:
+            arr = contract(self.arrays[i], self.orders[i], arr, order, ri, self.m)
+            order += self.orders[i] - 2 * ri
+            r += ri
+        factor = _product([self.f_factor, *(self.factors[i] for i, _ in parts)],
+                          self.m**r)
         if order == 0:
-            return ("s", _scalar(nums[0], factor))
-        return ("f", self.add(order, nums, factor))
+            return ("s", _scalar(arr[0], factor))
+        return ("f", self.add(order, arr, factor))
 
     def initial(self) -> dict:
         return {(self.base,): self.one}
@@ -201,17 +211,15 @@ class _FreeChain(_Chain):
             memo_key = (tuple(popped), r)
             hit = self.memo.get(memo_key)
             if hit is None:
-                # each popped block contracts its last slots against the first
-                # slots of the running result; the earliest keeps its leading
-                # slots, as it would in the tensor product of the popped blocks
-                arr, order, left = self.f_arr, self.p, r
+                # each popped block gives its last slots to the first slots of
+                # the running result; the earliest keeps its leading slots, as
+                # it would in the tensor product of the popped blocks
+                parts, left = [], r
                 for i in popped:
                     ri = min(left, self.orders[i])
-                    arr = contract_arrays_free(self.arrays[i], self.orders[i], arr,
-                                               order, ri, self.m)
-                    order += self.orders[i] - 2 * ri
+                    parts.append((i, ri))
                     left -= ri
-                hit = self.memo[memo_key] = self.result(popped, r, order, arr)
+                hit = self.memo[memo_key] = self.fuse(parts, contract_arrays_free)
             if hit[0] == "s":
                 key, w = tuple(rest), w * hit[1]
             else:
@@ -221,24 +229,19 @@ class _FreeChain(_Chain):
 
 def _compositions(total: int, caps: tuple[int, ...]) -> list[tuple]:
     """All tuples c with 0 <= c_i <= caps[i] and sum(c) == total, in
-    lexicographic order."""
-    ranges = (range(cap + 1) for cap in caps)
-    return [c for c in itertools.product(*ranges) if sum(c) == total]
+    lexicographic order: each head runs over the values the later caps
+    can still complete."""
+    if not caps:
+        return [()] if total == 0 else []
+    room = sum(caps[1:])
+    return [(c, *rest)
+            for c in range(max(0, total - room), min(caps[0], total) + 1)
+            for rest in _compositions(total - c, caps[1:])]
 
 
 class _ClassicalChain(_Chain):
     """Terms are symmetrized (block tuples kept sorted), so a rank-r step
     splits each term over the ways of drawing r slots from its blocks."""
-
-    def _fuse(self, parts_key: tuple):
-        hit = self.memo.get(parts_key)
-        if hit is None:
-            parts = [(self.arrays[i], self.orders[i], ri) for i, ri in parts_key]
-            arr, order = multi_contract(self.f_arr, self.p, parts, self.m)
-            ids = [i for i, _ in parts_key]
-            r = sum(ri for _, ri in parts_key)
-            hit = self.memo[parts_key] = self.result(ids, r, order, arr)
-        return hit
 
     def add(self, order: int, nums: np.ndarray, factor: Fraction) -> int:
         """Classical blocks are stored symmetrized."""
@@ -264,7 +267,11 @@ class _ClassicalChain(_Chain):
                 sorted((ids[i], ci) for i, ci in enumerate(split) if ci > 0)
             )
             untouched = tuple(ids[i] for i, ci in enumerate(split) if ci == 0)
-            kind, payload = self._fuse(parts_key)
+            hit = self.memo.get(parts_key)
+            if hit is None:
+                hit = self.memo[parts_key] = self.fuse(parts_key,
+                                                       contract_arrays_classical)
+            kind, payload = hit
             if kind == "s":
                 key = tuple(sorted(untouched))
                 out[key] = out.get(key, self.zero) + w * ratio * payload

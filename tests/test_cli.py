@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -545,6 +546,33 @@ def test_boolean_coefficients_exit_2(capsys, tmp_path, mode):
     assert code == 2
     assert capsys.readouterr().err == (
         "error (input): kernel JSON 'coeffs' must be numbers, not booleans\n"
+    )
+
+
+def test_boolean_scale_sq_exits_2(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"model": "classical", "p": 1, "m": 2, "mode": "exact",
+                                "coeffs": [1, 0], "scale_sq": True}))
+    code = main(["moment", str(path), "--k", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error (input): kernel JSON 'scale_sq' must be a number, not a boolean\n"
+    )
+
+
+def test_family_past_budget_exits_3_before_building(capsys):
+    # 1.6e7 coefficients: the budget refuses them before any list exists
+    tracemalloc.start()
+    try:
+        code = main(["moment", "--family", "pair_clt", "--n", "2000", "--model", "free",
+                     "--k", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2**20, peak
+    assert capsys.readouterr().err == (
+        "error (budget): tensor of order 2 needs 16000000 entries, exceeding the "
+        "budget of 10000000\n"
     )
 
 

@@ -16,11 +16,13 @@ from chaoskit.kernels import (
     symmetrize,
 )
 from chaoskit.contractions import (
+    contract_arrays_classical,
+    contract_arrays_free,
     contract_classical,
     contract_classical_sym,
     contract_free,
-    multi_contract,
 )
+from chaoskit.moments import _Chain
 
 from conftest import (
     brute_contract_classical,
@@ -148,31 +150,52 @@ def test_float_matches_exact(rng):
             assert abs(float(a) - b) < 1e-12
 
 
-def test_multi_contract_matches_sequential(pair_kernel):
-    # fusing two rank-1 blocks into the pair kernel gives f^3 / m^2 = f/4;
-    # multi_contract returns the raw sums, without the measure factor
-    arr, order = multi_contract(
-        pair_kernel.coeffs, 2,
-        [(pair_kernel.coeffs, 2, 1), (pair_kernel.coeffs, 2, 1)], 2,
-    )
-    assert order == 2
-    assert list(arr / 2**2) == [0, Fraction(1, 4), Fraction(1, 4), 0]
+def _fold(core, p, parts, m):
+    """The classical _Chain.fuse of `core` (order p) with (numerators, order,
+    r_i) parts, each stored as a block first; a base chain stores blocks as
+    given."""
+    chain = _Chain(np.asarray(core), Fraction(1), p, m, "exact")
+    ids = [(chain.add(o, np.asarray(a), Fraction(1)), r) for a, o, r in parts]
+    return chain, chain.fuse(ids, contract_arrays_classical)
 
 
-def test_multi_contract_full_contraction_keeps_mode(pair_kernel):
+def _block(chain, entry):
+    kind, i = entry
+    assert kind == "f"
+    return chain.orders[i], [chain.factors[i] * x for x in chain.arrays[i].tolist()]
+
+
+def test_fuse_matches_sequential(pair_kernel):
+    # fusing two rank-1 blocks into the pair kernel gives f^3 / m^2 = f/4
+    nums = pair_kernel.nums
+    chain, entry = _fold(nums, 2, [(nums, 2, 1), (nums, 2, 1)], 2)
+    assert _block(chain, entry) == (2, [0, Fraction(1, 4), Fraction(1, 4), 0])
+
+
+def test_fuse_matches_brute_sequential_contractions(rng):
+    # classical: each block's last slots meet the running result's last
+    # slots; free: its first slots, reversed
+    f, g, h = (random_kernel(rng, p, 2) for p in (3, 2, 2))
+    for contract, brute in ((contract_arrays_classical, brute_contract_classical),
+                            (contract_arrays_free, brute_contract_free)):
+        chain = _Chain(f.nums, f.factor, 3, 2, "exact")
+        parts = [(chain.add(2, g.nums, g.factor), 1), (chain.add(2, h.nums, h.factor), 2)]
+        ref = brute(h, brute(g, f, 1), 2)
+        assert _block(chain, chain.fuse(parts, contract)) == (1, list(ref.coeffs))
+
+
+def test_fuse_full_contraction_keeps_mode(pair_kernel):
     # sum_S f[S]^2 / m^2 = 2/4 for the pair kernel
-    arr, order = multi_contract(
-        pair_kernel.coeffs, 2, [(pair_kernel.coeffs, 2, 2)], 2
-    )
-    assert order == 0 and arr.shape == (1,) and arr.dtype == object
-    assert type(arr[0]) is Fraction and arr[0] / 2**2 == Fraction(1, 2)
-    ff = as_float(pair_kernel)
-    arr, order = multi_contract(ff.coeffs, 2, [(ff.coeffs, 2, 2)], 2)
-    assert order == 0 and arr.shape == (1,) and arr.dtype == np.float64
-    assert arr[0] / 2**2 == 0.5
+    nums = pair_kernel.nums
+    _, entry = _fold(nums, 2, [(nums, 2, 2)], 2)
+    assert entry == ("s", Fraction(1, 2)) and type(entry[1]) is Fraction
+    ff = as_float(pair_kernel).nums
+    chain = _Chain(ff, Fraction(1), 2, 2, "float")
+    entry = chain.fuse([(chain.base, 2)], contract_arrays_classical)
+    assert entry == ("s", 0.5) and type(entry[1]) is float
 
 
-def test_multi_contract_checks_every_intermediate(monkeypatch):
+def test_fuse_checks_every_intermediate(monkeypatch):
     # an order-3 core with parts of order 4 (r = 1) and 3 (r = 2) at m = 2:
     # the result has order 4 (16 entries), the first step order 5 (32)
     rng = np.random.default_rng(0)
@@ -189,19 +212,12 @@ def test_multi_contract_checks_every_intermediate(monkeypatch):
 
     monkeypatch.setattr(np, "dot", counted_dot)
     with budget(16), pytest.raises(BudgetExceededError, match="order 5 needs 32"):
-        multi_contract(core, 3, parts, 2)
+        _fold(core, 3, parts, 2)
     assert built == []
     with budget(32):
-        arr, order = multi_contract(core, 3, parts, 2)
-    assert order == 4 and built == [32, 16] and arr.tolist() == want.tolist()
-
-
-def test_multi_contract_overconsumption(pair_kernel):
-    with pytest.raises(InvalidInputError):
-        multi_contract(
-            pair_kernel.coeffs, 2,
-            [(pair_kernel.coeffs, 2, 2), (pair_kernel.coeffs, 2, 1)], 2,
-        )
+        chain, entry = _fold(core, 3, parts, 2)
+    assert built == [32, 16]
+    assert _block(chain, entry) == (4, [Fraction(int(w), 2**3) for w in want])
 
 
 def test_sym_contraction_matches_brute(rng):

@@ -65,6 +65,21 @@ def test_new_kernel_budget():
             new_kernel(2, 11, [0] * 121)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: family_kernel("pair_clt", n=2000, model="free"),  # 1.6e7 cells
+    lambda: constant_kernel(2, 4000),  # 1.6e7 cells
+], ids=["pair_clt", "constant"])
+def test_refused_kernels_build_no_coefficients(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_l2_inner_examples(pair_kernel):
     ones = constant_kernel(1, 1)
     assert l2_inner(ones, ones) == 1

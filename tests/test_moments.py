@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,10 @@ from chaoskit.moments import (
     MomentReport,
     _ClassicalChain,
     _FreeChain,
+    _chain,
+    _compositions,
     _gauss_polynomial,
+    _walk,
     chain_values,
     classical_fourth_identity,
     classical_moment,
@@ -142,6 +146,28 @@ def test_merged_walk_steps_one_term_per_block_tuple(monkeypatch, pair_kernel, mo
         stepped.clear()
         compute_moment(f, k, model)
         assert len(stepped) == want
+
+
+@pytest.mark.parametrize("kernel, model, k, memo, blocks", [
+    (new_kernel(2, 2, [0, 1, 1, 0]), "classical", 11, 38, 10),
+    (as_float(new_kernel(2, 2, [0, 1, 1, 0])), "free", 14, 24, 13),
+    (constant_kernel(4, 1), "classical", 8, 72, 6),
+], ids=["pair-classical", "pair-free-float", "constant-p4-classical"])
+def test_walk_contracts_each_step_once(kernel, model, k, memo, blocks):
+    # every distinct step is one memo entry and one fold; equal blocks share an id
+    chain = _chain(kernel, model)
+    _walk(chain, k)
+    assert (len(chain.memo), len(chain.orders)) == (memo, blocks)
+
+
+def test_compositions_match_the_filtered_product():
+    for caps in itertools.chain.from_iterable(
+            itertools.product(range(4), repeat=n) for n in range(3)):
+        for full in (caps, caps + (4,)):
+            for total in range(sum(full) + 2):
+                want = [c for c in itertools.product(*(range(x + 1) for x in full))
+                        if sum(c) == total]
+                assert _compositions(total, full) == want, (total, full)
 
 
 @pytest.mark.parametrize("model", ["classical", "free"])

@@ -18,7 +18,6 @@ from chaoskit.contractions import (
     contract_classical,
     contract_classical_sym,
     contract_free,
-    multi_contract,
 )
 from chaoskit.kernels import (
     GridKernel,
@@ -29,7 +28,7 @@ from chaoskit.kernels import (
     scale,
     symmetrize,
 )
-from chaoskit.moments import chain_values, classical_moment, free_moment
+from chaoskit.moments import _Chain, chain_values, classical_moment, free_moment
 
 from conftest import (
     brute_contract_classical,
@@ -94,30 +93,41 @@ def test_single_entry_factor_stays_positive():
     assert new_kernel(0, 1, [-3]).factor == 3
 
 
-def test_multi_contract_raw_sums_overflow_falls_back(rng):
+def _fuse_classical(f, *parts):
+    """_Chain.fuse of f with the kernels of `parts` ((kernel, r_i) pairs),
+    as (order, coefficients) of the block it stores."""
+    chain = _Chain(f.nums, f.factor, f.order, f.resolution, f.mode)
+    ids = [(chain.add(g.order, g.nums, g.factor), r) for g, r in parts]
+    kind, i = chain.fuse(ids, contract_arrays_classical)
+    assert kind == "f"
+    return chain.orders[i], [chain.factors[i] * int(x) for x in chain.arrays[i]]
+
+
+def test_fuse_raw_sums_overflow_falls_back(rng):
     f, g, h = big_kernel(rng, 3, 2), big_kernel(rng, 2, 2), big_kernel(rng, 1, 2)
-    arr, order = multi_contract(f.nums, 3, [(g.nums, 2, 1), (h.nums, 1, 1)], 2)
-    assert order == 2 and arr.dtype == object
-    # the same two contractions one after the other by brute force; the raw
-    # sums leave out the measure factor 1/m^2
+    # the same two contractions one after the other by brute force
     ref = brute_contract_classical(h, brute_contract_classical(g, f, 1), 1)
-    factor = f.factor * g.factor * h.factor / 4
-    assert [int(x) * factor for x in arr] == list(ref.coeffs)
+    assert _fuse_classical(f, (g, 1), (h, 1)) == (2, list(ref.coeffs))
 
 
-def test_multi_contract_widens_mid_fold(rng):
+def test_fuse_widens_mid_fold(rng, monkeypatch):
     # the first step's sums fit int64 and stay there; the second step's
     # operands could overflow, so that step alone runs on Python ints
     f = new_kernel(3, 2, [int(x) for x in rng.integers(-(2**20), 2**20, 8)])
     g = new_kernel(2, 2, [int(x) + 2**40 for x in rng.integers(-(2**20), 2**20, 4)])
     h = new_kernel(1, 2, [2**20 + 1, -(2**20) + 3])
-    first = contract_arrays_classical(g.nums, 2, f.nums, 3, 1, 2)
-    assert first.dtype == np.int64 and f.nums.dtype == h.nums.dtype == np.int64
-    arr, order = multi_contract(f.nums, 3, [(g.nums, 2, 1), (h.nums, 1, 1)], 2)
-    assert order == 2 and arr.dtype == object
+    assert f.nums.dtype == g.nums.dtype == h.nums.dtype == np.int64
+    dtypes = []
+    dot = np.dot
+
+    def recorded_dot(a, b):
+        dtypes.append(a.dtype)
+        return dot(a, b)
+
+    monkeypatch.setattr(np, "dot", recorded_dot)
     ref = brute_contract_classical(h, brute_contract_classical(g, f, 1), 1)
-    factor = f.factor * g.factor * h.factor / 4
-    assert [int(x) * factor for x in arr] == list(ref.coeffs)
+    assert _fuse_classical(f, (g, 1), (h, 1)) == (2, list(ref.coeffs))
+    assert dtypes == [np.int64, object]
 
 
 def test_symmetrization_accumulate_overflow_falls_back(rng):
