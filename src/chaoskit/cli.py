@@ -4,6 +4,7 @@ Subcommands: moment, fourth-check, index-sets, converge, simulate, verify.
 Single reports print as JSON, tables as CSV (``--json`` forces JSON).
 Every output embeds a run manifest; with a fixed manifest the payload rows
 are reproducible (bit-for-bit in exact mode), only the timestamp differs.
+`_load_kernel` alone resolves a kernel command's kernel, model and mode.
 
 Exit codes: 0 ok, 2 invalid input, 3 size budget exceeded or out of memory,
 4 mathematical precondition violated, 5 verification failure.
@@ -70,7 +71,7 @@ def _manifest(command: str, args: argparse.Namespace, *, kernel_source=None,
     shown = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "out", "command", "mode_fallback") and v is not None
+        if k not in ("func", "out", "command") and v is not None
     }
     return {
         "command": command,
@@ -164,12 +165,15 @@ def _emit_table(manifest: dict, header: list[str], rows: list[list],
 # --- kernel resolution -------------------------------------------------------
 
 
-def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
-    """Resolve (kernel, model, source description) from a file or family.
+def _load_kernel(args: argparse.Namespace,
+                 default_mode: str) -> tuple[GridKernel, str, str]:
+    """Resolve (kernel, model, source label) from a kernel file or a family.
 
-    --mode left unset follows the kernel file's mode (or the command's
-    default for family kernels)."""
-    mode = args.mode
+    A file and --family exclude each other, and a family takes only its own
+    size: --n for pair_clt, --p for constant_hermite.  --mode left unset
+    follows the file's mode, or `default_mode` for a family."""
+    if args.kernel and args.family:
+        raise InvalidInputError("give a kernel file or --family, not both")
     if args.kernel:
         try:
             with open(args.kernel, "r", encoding="utf-8") as fh:
@@ -177,17 +181,13 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
         except OSError as exc:
             raise InvalidInputError(f"cannot read kernel file: {exc}") from exc
         kern, file_model = kernel_from_json(text)
-        requested = mode or kern.mode
-        if kern.mode != requested:
-            if requested == "float":
-                kern = as_float(kern)
-            else:
-                raise InvalidInputError(
-                    "kernel file is float-mode but an exact computation was "
-                    "requested; re-export the kernel or pass --mode float"
-                )
-        if mode is None:
-            args.mode = kern.mode
+        if args.mode == "float" and kern.mode == "exact":
+            kern = as_float(kern)
+        elif args.mode == "exact" and kern.mode == "float":
+            raise InvalidInputError(
+                "kernel file is float-mode but an exact computation was "
+                "requested; re-export the kernel or pass --mode float"
+            )
         model = args.model or file_model
         if model is None:
             raise InvalidInputError(
@@ -195,17 +195,16 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
             )
         return kern, model, args.kernel
     if args.family:
+        size, other = ("n", "p") if args.family == "pair_clt" else ("p", "n")
+        if getattr(args, other) is not None:
+            raise InvalidInputError(f"--family {args.family} takes --{size}, not --{other}")
         if args.model is None:
             raise InvalidInputError("--family requires --model")
-        requested = mode or args.mode_fallback
-        if mode is None:
-            args.mode = requested
         kern = family_kernel(
             args.family, n=args.n, p=args.p,
-            model=args.model, mode=requested,
+            model=args.model, mode=args.mode or default_mode,
         )
-        label = f"{args.family}(n={args.n})" if args.n else f"{args.family}(p={args.p})"
-        return kern, args.model, label
+        return kern, args.model, f"{args.family}({size}={getattr(args, size)})"
     raise InvalidInputError("provide a kernel file or --family")
 
 
@@ -213,7 +212,7 @@ def _load_kernel(args: argparse.Namespace) -> tuple[GridKernel, str, str]:
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
-    kern, model, source = _load_kernel(args)
+    kern, model, source = _load_kernel(args, "exact")
     if args.k < 1:
         raise InvalidInputError("--k must be >= 1")
     value = compute_moment(kern, args.k, model, args.path)
@@ -233,13 +232,13 @@ def cmd_moment(args: argparse.Namespace) -> int:
         "target": target,
     }
     manifest = _manifest("moment", args, kernel_source=source, model=model,
-                         mode=args.mode)
+                         mode=kern.mode)
     _emit_json(manifest, payload, args.out)
     return EXIT_OK
 
 
 def cmd_fourth_check(args: argparse.Namespace) -> int:
-    kern, model, source = _load_kernel(args)
+    kern, model, source = _load_kernel(args, "exact")
     if args.normalize:
         kern = normalize_variance(kern, model)
     # each precondition and each self-contraction once: the identities
@@ -267,7 +266,7 @@ def cmd_fourth_check(args: argparse.Namespace) -> int:
         **extra,
     }
     manifest = _manifest("fourth-check", args, kernel_source=source, model=model,
-                         mode=args.mode)
+                         mode=kern.mode)
     _emit_json(manifest, payload, args.out)
     return EXIT_OK
 
@@ -307,9 +306,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    passed = args.mode
-    kern, model, source = _load_kernel(args)
-    args.mode = passed  # the samplers run in binary64 whatever the kernel's mode
+    kern, model, source = _load_kernel(args, "float")
+    if model == "classical" and args.dim is not None:
+        raise InvalidInputError("--dim sets the GUE matrix size; the classical "
+                                "model draws no matrices")
     if args.normalize:
         kern = normalize_variance(kern, model)
     cfg = SampleConfig(seed=args.seed, n_samples=args.samples,
@@ -365,7 +365,7 @@ def _add_common(sub: argparse.ArgumentParser, *, kernel: bool = False,
     sub.add_argument("--budget", type=int, default=None,
                      help="dense-tensor entry cap (default 10^7)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: CHAOSKIT_THREADS or 1)")
+                     help="worker cap for simulation (default 1)")
     sub.add_argument("--out", default=None, help="write output to a file")
     if table:
         sub.add_argument("--json", action="store_true",
@@ -378,6 +378,8 @@ def _add_common(sub: argparse.ArgumentParser, *, kernel: bool = False,
         sub.add_argument("--n", type=int, default=None, help="family size index")
         sub.add_argument("--p", type=int, default=None, help="family order")
         sub.add_argument("--model", choices=("classical", "free"), default=None)
+        sub.add_argument("--mode", choices=("exact", "float"), default=None,
+                         help="default: the file's; a family's is exact (simulate: float)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,16 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--k", type=int, required=True)
     p_moment.add_argument("--path", choices=("formula", "expansion", "oracle"),
                           default="formula")
-    p_moment.add_argument("--mode", choices=("exact", "float"), default=None)
-    p_moment.set_defaults(func=cmd_moment, mode_fallback="exact")
+    p_moment.set_defaults(func=cmd_moment)
 
     p_fourth = subs.add_parser("fourth-check",
                                help="fourth moment, identity value, profile, gap")
     _add_common(p_fourth, kernel=True)
-    p_fourth.add_argument("--mode", choices=("exact", "float"), default=None)
     p_fourth.add_argument("--normalize", action="store_true",
                           help="variance-normalize before checking")
-    p_fourth.set_defaults(func=cmd_fourth_check, mode_fallback="exact")
+    p_fourth.set_defaults(func=cmd_fourth_check)
 
     p_index = subs.add_parser("index-sets", help="enumerate A/B/C/E rank tuples")
     _add_common(p_index, table=True)
@@ -431,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dim", type=int, default=None,
                        help="GUE matrix dimension (free model)")
     p_sim.add_argument("--normalize", action="store_true")
-    p_sim.add_argument("--mode", choices=("exact", "float"), default=None)
-    p_sim.set_defaults(func=cmd_simulate, mode_fallback="float")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = subs.add_parser("verify", help="run the invariant suite")
     _add_common(p_ver, table=False)
@@ -443,15 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Apply --budget and --threads, then run the command; `main` calls this
-    in a copied context, so both settings end with the command."""
+    """Apply --budget and --threads, then run the command with float results
+    past binary64 as silent +-inf or nan; `main` calls this in a copied
+    context, so the settings end with the command."""
     if args.budget is not None:
         set_entry_budget(args.budget)
     if args.threads is not None:
         if args.threads < 1:
             raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
         set_thread_count(args.threads)
-    return args.func(args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.func(args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -8,13 +8,13 @@ on the order of a kernel reshaped to one axis per slot.
 
 Both knobs are context variables: a setting holds in the context that made
 it, `budget()` undoes exactly its own, and new threads start from the
-defaults.  The CLI runs each command in a copied context, so `--budget` and
-`--threads` end with the command.
+defaults (the simulators' workers run in copies of the caller's context).
+The CLI runs each command in a copied context, so `--budget` and
+`--threads` end with the command; no environment variable sets either.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
 
@@ -28,7 +28,7 @@ DEFAULT_ENTRY_BUDGET = 10_000_000
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 _entry_budget: ContextVar[int] = ContextVar("entry_budget", default=DEFAULT_ENTRY_BUDGET)
-_thread_count: ContextVar[int | None] = ContextVar("thread_count", default=None)
+_thread_count: ContextVar[int] = ContextVar("thread_count", default=1)
 
 
 def entry_budget() -> int:
@@ -87,21 +87,11 @@ def check_axes(m: int, order: int) -> tuple[int, ...]:
 
 
 def thread_count() -> int:
-    """Worker cap for parallel sections; CHAOSKIT_THREADS is the fallback."""
-    override = _thread_count.get()
-    if override is not None:
-        return override
-    env = os.environ.get("CHAOSKIT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def thread_override() -> int | None:
-    """The cap set by set_thread_count, or None when CHAOSKIT_THREADS rules."""
+    """Worker cap for parallel sections: the cap set by `--threads` or
+    `set_thread_count`, else 1."""
     return _thread_count.get()
 
 
 def set_thread_count(n: int | None) -> None:
-    _thread_count.set(None if n is None else max(1, int(n)))
+    """Set the worker cap in the current context; None restores 1."""
+    _thread_count.set(1 if n is None else max(1, int(n)))

@@ -31,6 +31,7 @@ in-block reduction uses numpy's pairwise summation.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,11 +125,14 @@ def _int_power(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _map(fn, items) -> list:
-    """[fn(x) for x in items], in input order, on thread_count() threads."""
+    """[fn(x) for x in items], in input order, on thread_count() threads;
+    each task runs in a copy of the caller's context, so a worker keeps its
+    budget and numpy error state."""
     workers = thread_count()
     if workers > 1 and len(items) > 1:
+        ctx = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(lambda x: ctx.copy().run(fn, x), items))
     return [fn(x) for x in items]
 
 
@@ -152,6 +156,8 @@ def mc_classical_moment(f: GridKernel, k: int, cfg: SampleConfig,
     m = f.resolution
     norm = m ** (-f.order / 2.0)
     n = cfg.n_samples
+    # the largest block's normals, checked once before any draw
+    check_entries(m, 1, rows=min(n, CLASSICAL_BLOCK), what="classical sample block")
     blocks = [
         (b, min(CLASSICAL_BLOCK, n - b * CLASSICAL_BLOCK))
         for b in range((n + CLASSICAL_BLOCK - 1) // CLASSICAL_BLOCK)

@@ -11,7 +11,7 @@ import pytest
 
 from chaoskit.chaos import moment_via_expansion
 from chaoskit.cli import main
-from chaoskit.config import entry_budget, set_thread_count, thread_override
+from chaoskit.config import entry_budget, set_thread_count, thread_count
 from chaoskit.kernels import kernel_to_json, new_kernel, symmetrize
 from chaoskit.moments import classical_moment, wick_oracle_moment
 from chaoskit import verify
@@ -236,7 +236,7 @@ def test_simulate_free(capsys, pair_file):
 @pytest.mark.parametrize("mode", [None, "exact", "float"])
 def test_simulate_manifest_mode_is_float(capsys, pair_file, model, mode):
     argv = ["simulate", pair_file, "--model", model, "--k", "3",
-            "--samples", "1000", "--seed", "1", "--dim", "8"]
+            "--samples", "1000", "--seed", "1", *(["--dim", "8"] if model == "free" else [])]
     code, obj = run_json(capsys, *argv, *(["--mode", mode] if mode else []))
     assert code == 0
     with open(pair_file) as fh:
@@ -329,13 +329,13 @@ def test_exit_code_nonpositive_caps(capsys, pair_file, flag, value):
     assert entry_budget() == before
 
 
-def test_main_restores_thread_override(capsys, pair_file):
+def test_main_restores_thread_count(capsys, pair_file):
     set_thread_count(3)
     try:
         assert main(["moment", pair_file, "--k", "4", "--threads", "2"]) == 0
-        assert thread_override() == 3
+        assert thread_count() == 3
         assert main(["moment", pair_file, "--k", "4"]) == 0
-        assert thread_override() == 3
+        assert thread_count() == 3
     finally:
         set_thread_count(None)
 
@@ -418,6 +418,9 @@ def test_exit_code_precondition(capsys, tmp_path):
     ["moment", "{pair}", "--k", "0"],
     ["converge", "--n", "1,x", "--model", "classical"],
     ["converge", "--n", ",", "--model", "classical"],
+    # a file and a family at once; the classical model draws no GUE matrix
+    ["moment", "{pair}", "--family", "pair_clt", "--n", "2", "--model", "free", "--k", "2"],
+    ["simulate", "{pair}", "--k", "2", "--samples", "2", "--seed", "1", "--dim", "50"],
 ])
 def test_exit_code_invalid_request(capsys, tmp_path, pair_file, argv):
     float_file = tmp_path / "float.json"
@@ -596,6 +599,70 @@ def test_float_overflow_is_inf_or_exits_3_without_warnings(capfd, tmp_path, path
                        "(nan); use exact mode\n")
     else:
         assert err == "" and json.loads(out)["report"]["value"] == value
+
+
+# float kernels whose results pass binary64: the sum in symmetrize, a p = 0
+# power, and the classical sampler's powers; each is +-inf or nan, silently
+HUGE_FLOATS = {
+    "sym": {"p": 2, "m": 2, "mode": "float", "model": "classical",
+            "coeffs": [0, 1e308, 1e308, 0]},
+    "const": {"p": 0, "m": 1, "mode": "float", "model": "free", "coeffs": [1e200]},
+    "sampler": {"p": 2, "m": 2, "mode": "float", "model": "classical",
+                "coeffs": [0, 1e200, 1e200, 0]},
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name, argv, code", [
+    ("sym", ["moment", "--k", "4"], 3),
+    ("const", ["moment", "--k", "4"], 0),
+    ("sym", ["simulate", "--k", "4", "--samples", "3", "--seed", "1"], 3),
+    ("sampler", ["simulate", "--k", "4", "--samples", "3", "--seed", "1"], 3),
+    ("const", ["simulate", "--k", "4", "--samples", "3", "--seed", "1", "--dim", "4"], 3),
+])
+def test_float_past_binary64_warns_nothing(capfd, tmp_path, threads, name, argv, code):
+    kernel = tmp_path / "huge.json"
+    kernel.write_text(json.dumps(HUGE_FLOATS[name]))
+    assert main([argv[0], str(kernel), *argv[1:], "--threads", threads]) == code
+    out, err = capfd.readouterr()
+    if code:
+        assert out == "" and err == ("error (budget): a float result passes the "
+                                     "binary64 range (nan); use exact mode\n")
+    else:
+        assert err == "" and json.loads(out)["report"]["value"] == math.inf
+
+
+@pytest.mark.parametrize("family, size, other", [
+    ("pair_clt", ["--n", "2"], ["--p", "3"]),
+    ("constant_hermite", ["--p", "3"], ["--n", "7"]),
+])
+def test_family_takes_only_its_own_size(capsys, family, size, other):
+    base = ["moment", "--family", family, "--model", "free", "--k", "2"]
+    code, obj = run_json(capsys, *base, *size)
+    assert code == 0
+    assert obj["manifest"]["kernel_source"] == f"{family}({size[0][2:]}={size[1]})"
+    assert main([*base, *size, *other]) == 2
+    assert capsys.readouterr().err == (
+        f"error (input): --family {family} takes {size[0]}, not {other[0]}\n")
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (["moment", "{file}", "--k", "2"], "exact"),
+    (["moment", "{file}", "--k", "2", "--mode", "float"], "float"),
+    (["fourth-check", "{file}"], "exact"),
+    (["fourth-check", "--family", "pair_clt", "--n", "2", "--model", "free"], "exact"),
+    (["fourth-check", "--family", "pair_clt", "--n", "2", "--model", "free",
+      "--mode", "float"], "float"),
+    (["simulate", "--family", "pair_clt", "--n", "2", "--model", "classical",
+      "--k", "2", "--samples", "2", "--seed", "1"], "float"),
+])
+def test_manifest_args_echo_mode_only_when_passed(capsys, pair_file, argv, mode):
+    argv = [pair_file if a == "{file}" else a for a in argv]
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    manifest = obj["manifest"]
+    assert manifest["mode"] == mode
+    assert manifest["args"].get("mode") == (mode if "--mode" in argv else None)
 
 
 def test_fourth_check_symmetrizes_once_per_kernel(capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""Property test: `moment` and `fourth-check` answer any kernel JSON with
-exit code 0, 2, 3 or 4 and never with a traceback (exit 1)."""
+"""Property test: `moment`, `fourth-check` and `simulate` answer any kernel
+JSON with exit code 0, 2, 3 or 4 and never with a traceback (exit 1) or a
+warning (Tier-1 turns warnings into errors)."""
 
 import contextlib
 import io
@@ -54,6 +55,11 @@ command = st.one_of(
               st.sampled_from(["formula", "expansion", "oracle"])).map(
         lambda t: [t[0], t[1], t[2], "--path", t[3]]),
     st.sampled_from([["fourth-check"], ["fourth-check", "--normalize"]]),
+    st.tuples(st.integers(1, 5).map(str), st.sampled_from([[], ["--normalize"]]),
+              st.sampled_from([["--model", "classical"],
+                               ["--model", "free", "--dim", "4"]])).map(
+        lambda t: ["simulate", "--k", t[0], "--samples", "3", "--seed", "1",
+                   *t[1], *t[2]]),
 )
 options = st.lists(st.sampled_from([["--model", "classical"], ["--model", "free"],
                                     ["--mode", "float"], ["--mode", "exact"]]),
@@ -79,6 +85,18 @@ options = st.lists(st.sampled_from([["--model", "classical"], ["--model", "free"
 @example(kernel={"p": 2, "m": 1, "mode": "exact", "model": "classical",
                  "coeffs": [f"1/{10**200}"], "scale_sq": str(2 * 10**400)},
          cmd=["moment", "--k", "3", "--path", "formula"], extra=[["--mode", "float"]])
+# float results past binary64 in symmetrize, in a p = 0 power, and in the
+# classical sampler's powers and the GUE traces
+@example(kernel={"p": 2, "m": 2, "mode": "float", "model": "classical",
+                 "coeffs": [0, 1e308, 1e308, 0]}, cmd=["moment", "--k", "4"], extra=[])
+@example(kernel={"p": 0, "m": 1, "mode": "float", "model": "free", "coeffs": [1e200]},
+         cmd=["moment", "--k", "4"], extra=[])
+@example(kernel={"p": 2, "m": 2, "mode": "float", "model": "classical",
+                 "coeffs": [0, 1e200, 1e200, 0]},
+         cmd=["simulate", "--k", "4", "--samples", "3", "--seed", "1"], extra=[])
+@example(kernel={"p": 0, "m": 1, "mode": "float", "model": "free", "coeffs": [1e200]},
+         cmd=["simulate", "--k", "4", "--samples", "3", "--seed", "1", "--dim", "4"],
+         extra=[])
 def test_cli_never_exits_with_a_traceback(tmp_path, kernel, cmd, extra):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(kernel))

@@ -5,7 +5,7 @@ from chaoskit.config import (
     budget,
     entry_budget,
     set_thread_count,
-    thread_override,
+    thread_count,
 )
 
 
@@ -58,7 +58,18 @@ def test_new_threads_start_from_the_defaults():
     set_thread_count(3)
     try:
         with budget(50):
-            _run_threads(lambda: seen.append((entry_budget(), thread_override())))
+            _run_threads(lambda: seen.append((entry_budget(), thread_count())))
     finally:
         set_thread_count(None)
-    assert seen == [(DEFAULT_ENTRY_BUDGET, None)]
+    assert seen == [(DEFAULT_ENTRY_BUDGET, 1)]
+
+
+def test_thread_count_defaults_to_one_and_reads_no_environment(monkeypatch):
+    monkeypatch.setenv("CHAOSKIT_THREADS", "4")
+    assert thread_count() == 1
+    set_thread_count(2)
+    try:
+        assert thread_count() == 2
+    finally:
+        set_thread_count(None)
+    assert thread_count() == 1

@@ -16,10 +16,13 @@ from chaoskit.kernels import (
     symmetrize,
 )
 from chaoskit.moments import free_moment
+from chaoskit import simulate
 from chaoskit.simulate import (
+    CLASSICAL_BLOCK,
     SampleConfig,
     _cell_plan,
     _int_power,
+    _map,
     _matrix_model,
     derive_rng,
     gue_increments,
@@ -351,3 +354,37 @@ def test_mc_classical_estimate_across_blocks_and_threads():
         set_thread_count(None)
     assert threaded.value == base.value and threaded.stderr == base.stderr
     assert abs(base.value - float(base.target)) <= 5 * base.stderr
+
+
+def test_classical_budget_raises_before_drawing(pair_kernel, monkeypatch):
+    def no_draws(seed, index):
+        raise AssertionError("drew before the budget check")
+
+    monkeypatch.setattr(simulate, "derive_rng", no_draws)
+    # one block of n x m normals, the largest block when n passes the block size
+    for n, entries in ((1000, 2000), (3 * CLASSICAL_BLOCK, 2 * CLASSICAL_BLOCK)):
+        with budget(entries - 1), pytest.raises(BudgetExceededError) as exc:
+            mc_classical_moment(pair_kernel, 4, SampleConfig(seed=1, n_samples=n))
+        assert exc.value.entries == entries
+        assert "classical sample block" in str(exc.value)
+    monkeypatch.undo()
+    with budget(2000):  # exactly at the budget: the block is drawn
+        assert mc_classical_moment(pair_kernel, 4, SampleConfig(seed=1, n_samples=1000)).k == 4
+
+
+def test_classical_budget_exits_3_from_cli(capsys):
+    code = main(["simulate", "--family", "pair_clt", "--n", "4", "--model", "classical",
+                 "--k", "4", "--samples", "100000", "--seed", "1", "--budget", "100000"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error (budget): classical sample block needs 524288 entries, exceeding "
+        "the budget of 100000\n")
+
+
+def test_map_workers_run_in_the_callers_context():
+    set_thread_count(2)
+    try:
+        with budget(50):
+            assert _map(lambda _: entry_budget(), range(4)) == [50] * 4
+    finally:
+        set_thread_count(None)
